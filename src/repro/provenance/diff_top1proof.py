@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .top1proof import PAD, Top1ProofProvenance, leave_one_out_products
+from .top1proof import PAD, Top1ProofProvenance, leave_one_out_products, live_proofs
 
 
 class DiffTop1ProofProvenance(Top1ProofProvenance):
@@ -23,7 +23,7 @@ class DiffTop1ProofProvenance(Top1ProofProvenance):
     def backward(self, tags, grad_out, grad_in) -> None:
         if len(tags) == 0:
             return
-        proofs = tags["proof"]
+        proofs = live_proofs(tags)
         valid = (proofs != PAD) & (tags["size"][:, None] > 0)
         safe = np.clip(proofs, 0, max(self.n_inputs - 1, 0))
         probs = np.where(valid, self.input_probs[safe], 1.0)

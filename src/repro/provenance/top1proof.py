@@ -9,6 +9,15 @@ The paper fixes the maximum proof size statically (they use 300; we default
 to 64, configurable) so tags occupy fixed-size vector registers — the key
 property that lets proofs live on the device.
 
+``proof_capacity`` is that storage width and the overflow limit (a union
+of more ids is the absorbing zero) — not the width the kernels run at.
+Stored proofs are sorted and left-justified, so a batch's ids all sit in
+its first ``max(size)`` columns, its *live width* (:func:`live_proofs`);
+the kernels run on those columns and pad to capacity once, on output.
+That is bit-identical to running at capacity: the dropped columns hold
+only ``PAD``, which sorts last, is neither duplicate nor conflict, and
+contributes an exact ``× 1.0``; products keep ascending fact-id order.
+
 Exclusion-group conflict detection relies on the runtime's guarantee that
 facts within one exclusion group receive *contiguous* fact ids, so after
 sorting a proof by fact id, conflicting facts are adjacent.
@@ -73,23 +82,24 @@ class Top1ProofProvenance(Provenance):
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Union two batches of proofs: dedupe, conflict-check, score.
 
-        ``proofs_a``/``proofs_b`` are (n, cap) fact-id arrays padded with
-        PAD; ``dead_in`` marks rows already absorbed to 0.  Returns
-        ``(merged (n, cap), sizes, probs)`` with dead rows zeroed — the
+        ``proofs_a``/``proofs_b`` are (n, wa)/(n, wb) fact-id arrays padded
+        with PAD — any widths that hold every id, normally the operands'
+        :func:`live_proofs`; ``dead_in`` marks rows already absorbed to 0.
+        Returns ``(merged, sizes, probs)`` with dead rows zeroed and
+        ``merged`` cut to the result's own live width (≤ capacity) — the
         shared kernel behind top-1 and device top-k conjunction.
         """
-        cap = self.proof_capacity
         merged = np.concatenate([proofs_a, proofs_b], axis=1)
         merged.sort(axis=1)
         # Blank out duplicate fact ids, then re-sort to left-justify.
-        dup = np.zeros_like(merged, dtype=bool)
-        dup[:, 1:] = (merged[:, 1:] == merged[:, :-1]) & (merged[:, 1:] != PAD)
-        merged[dup] = PAD
-        merged.sort(axis=1)
+        dup = (merged[:, 1:] == merged[:, :-1]) & (merged[:, 1:] != PAD)
+        if dup.any():
+            merged[:, 1:][dup] = PAD
+            merged.sort(axis=1)
 
         valid = merged != PAD
         sizes = valid.sum(axis=1)
-        overflow = sizes > cap
+        overflow = sizes > self.proof_capacity
 
         # Conflicts: adjacent distinct facts sharing an exclusion group
         # (group members hold contiguous fact ids, so sorting by fact id
@@ -107,20 +117,19 @@ class Top1ProofProvenance(Provenance):
         probs = np.where(valid, self.input_probs[safe], 1.0).prod(axis=1)
 
         dead = overflow | conflict | dead_in
-        merged = merged[:, :cap]
         if dead.any():
             probs = np.where(dead, 0.0, probs)
             sizes = np.where(dead, -1, sizes)
             merged[dead] = PAD
-        return merged, sizes, probs
+        return merged[:, : live_width(sizes)], sizes, probs
 
     def otimes(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         dead_in = (a["size"] < 0) | (b["size"] < 0)
         merged, sizes, probs = self.merge_proof_arrays(
-            a["proof"].copy(), b["proof"], dead_in
+            live_proofs(a), live_proofs(b), dead_in
         )
-        out = np.zeros(len(a), dtype=self._dtype)
-        out["proof"] = merged
+        out = self.zero_tags(len(a))
+        out["proof"][:, : merged.shape[1]] = merged
         out["size"] = sizes
         out["prob"] = probs
         return out
@@ -140,6 +149,18 @@ class Top1ProofProvenance(Provenance):
 
     def is_absorbing_zero(self, tags) -> np.ndarray:
         return tags["size"] < 0
+
+
+def live_width(sizes: np.ndarray) -> int:
+    """Columns a batch of proofs occupies: its longest proof (dead tags
+    carry size −1 and an all-PAD proof, so they add nothing)."""
+    return max(int(sizes.max()), 0) if sizes.size else 0
+
+
+def live_proofs(tags: np.ndarray) -> np.ndarray:
+    """The ``proof`` field cut to the batch's live width.  Proofs are
+    sorted and left-justified, so every column past it is PAD."""
+    return tags["proof"][..., : live_width(tags["size"])]
 
 
 def leave_one_out_products(probs: np.ndarray, valid: np.ndarray) -> np.ndarray:

@@ -26,7 +26,14 @@ from itertools import combinations
 import numpy as np
 
 from .base import SATURATION_EPS, Provenance
-from .top1proof import DEFAULT_PROOF_CAPACITY, PAD, Top1ProofProvenance, leave_one_out_products
+from .top1proof import (
+    DEFAULT_PROOF_CAPACITY,
+    PAD,
+    Top1ProofProvenance,
+    leave_one_out_products,
+    live_proofs,
+    live_width,
+)
 
 DEFAULT_K = 3
 
@@ -95,15 +102,16 @@ class TopKProofsDeviceProvenance(Provenance):
     def otimes(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         n = len(a)
         k = self.k
-        # All k x k pairwise unions, flattened to (n * k^2, cap).
-        pa = np.repeat(a["proof"], k, axis=1).reshape(n * k * k, self.proof_capacity)
-        pb = np.tile(b["proof"], (1, k, 1)).reshape(n * k * k, self.proof_capacity)
+        # All k x k pairwise unions, flattened to (n * k^2, live width).
+        pa, pb = live_proofs(a), live_proofs(b)
+        pa = np.repeat(pa, k, axis=1).reshape(n * k * k, pa.shape[-1])
+        pb = np.tile(pb, (1, k, 1)).reshape(n * k * k, pb.shape[-1])
         dead = (
             np.repeat(a["size"] < 0, k, axis=1) | np.tile(b["size"] < 0, (1, k))
         ).reshape(n * k * k)
         merged, sizes, probs = self._merger.merge_proof_arrays(pa, pb, dead)
         return self._select_top_k(
-            merged.reshape(n, k * k, self.proof_capacity),
+            merged.reshape(n, k * k, merged.shape[-1]),
             sizes.reshape(n, k * k),
             probs.reshape(n, k * k),
         )
@@ -113,9 +121,10 @@ class TopKProofsDeviceProvenance(Provenance):
     ) -> np.ndarray:
         """Per row: keep the k most likely *distinct* live proofs.
 
-        ``proofs`` is (n, m, cap) with m candidate proofs per row.
+        ``proofs`` is (n, m, w) with m candidate proofs per row, at any
+        width w <= capacity that holds every candidate.
         """
-        n, m, cap = proofs.shape
+        n, m, width = proofs.shape
         alive = sizes >= 0
         scores = np.where(alive, probs, -1.0)
         order = np.argsort(-scores, axis=1, kind="stable")
@@ -139,7 +148,7 @@ class TopKProofsDeviceProvenance(Provenance):
         out["size"] = -1
         slot_rows, slot_cols = np.nonzero(keep & (rank < self.k))
         dest = rank[slot_rows, slot_cols]
-        out["proof"][slot_rows, dest] = proofs[slot_rows, slot_cols]
+        out["proof"][slot_rows, dest, :width] = proofs[slot_rows, slot_cols]
         out["size"][slot_rows, dest] = sizes[slot_rows, slot_cols]
         out["prob"][slot_rows, dest] = probs[slot_rows, slot_cols]
         return out
@@ -155,7 +164,8 @@ class TopKProofsDeviceProvenance(Provenance):
         counts = np.bincount(segment_ids, minlength=nseg)
         max_members = int(counts.max()) if len(counts) else 0
         candidates = max_members * self.k
-        proofs = np.full((nseg, candidates, self.proof_capacity), PAD, dtype=np.int64)
+        live = live_proofs(tags)
+        proofs = np.full((nseg, candidates, live.shape[-1]), PAD, dtype=np.int64)
         sizes = np.full((nseg, candidates), -1, dtype=np.int64)
         probs = np.zeros((nseg, candidates))
         # Slot of each member within its segment.
@@ -165,19 +175,22 @@ class TopKProofsDeviceProvenance(Provenance):
         member_rank = np.arange(n) - starts[np.cumsum(firsts)]
         base = member_rank * self.k
         for slot in range(self.k):
-            proofs[segment_ids, base + slot] = tags["proof"][:, slot]
+            proofs[segment_ids, base + slot] = live[:, slot]
             sizes[segment_ids, base + slot] = tags["size"][:, slot]
             probs[segment_ids, base + slot] = tags["prob"][:, slot]
         return self._select_top_k(proofs, sizes, probs)
 
     def merge_existing(self, old, new):
-        n = len(old)
-        proofs = np.concatenate([old["proof"], new["proof"]], axis=1)
         sizes = np.concatenate([old["size"], new["size"]], axis=1)
         probs = np.concatenate([old["prob"], new["prob"]], axis=1)
+        # One width for both sides and the result (a selection of them),
+        # so the hashes below compare like with like.
+        width = live_width(sizes)
+        old_proofs = old["proof"][:, :, :width]
+        proofs = np.concatenate([old_proofs, new["proof"][:, :, :width]], axis=1)
         merged = self._select_top_k(proofs, sizes, probs)
         improved = ~np.all(
-            (_hash_proofs(merged["proof"]) == _hash_proofs(old["proof"]))
+            (_hash_proofs(merged["proof"][:, :, :width]) == _hash_proofs(old_proofs))
             | (merged["size"] < 0) & (old["size"] < 0),
             axis=1,
         )
@@ -190,10 +203,11 @@ class TopKProofsDeviceProvenance(Provenance):
         n = len(tags)
         total = np.zeros(n)
         alive = tags["size"] >= 0
+        live = live_proofs(tags)
         union_cache: dict[frozenset, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         for slot in range(self.k):
             union_cache[frozenset([slot])] = (
-                tags["proof"][:, slot],
+                live[:, slot],
                 np.where(alive[:, slot], 0, 1).astype(bool),  # dead mask
                 np.where(alive[:, slot], tags["prob"][:, slot], 0.0),
             )
@@ -206,7 +220,7 @@ class TopKProofsDeviceProvenance(Provenance):
                     last = union_cache[frozenset([subset[-1]])]
                     dead = prefix[1] | last[1]
                     merged, sizes, probs = self._merger.merge_proof_arrays(
-                        prefix[0].copy(), last[0], dead
+                        prefix[0], last[0], dead
                     )
                     union_cache[key] = (merged, sizes < 0, probs)
                 member_alive = np.ones(n, dtype=bool)
@@ -231,10 +245,11 @@ class DiffTopKProofsDeviceProvenance(TopKProofsDeviceProvenance):
         if n == 0:
             return
         alive = tags["size"] >= 0
+        live = live_proofs(tags)
         union_cache: dict[frozenset, tuple[np.ndarray, np.ndarray]] = {}
         for slot in range(self.k):
             union_cache[frozenset([slot])] = (
-                tags["proof"][:, slot],
+                live[:, slot],
                 ~alive[:, slot],
             )
         for r in range(1, self.k + 1):
@@ -246,7 +261,7 @@ class DiffTopKProofsDeviceProvenance(TopKProofsDeviceProvenance):
                     last = union_cache[frozenset([subset[-1]])]
                     dead = prefix[1] | last[1]
                     merged, sizes, _ = self._merger.merge_proof_arrays(
-                        prefix[0].copy(), last[0], dead
+                        prefix[0], last[0], dead
                     )
                     union_cache[key] = (merged, sizes < 0)
                 proofs, dead = union_cache[key]

@@ -323,6 +323,10 @@ def recover(
 
     tail = manager.wal.read_from(seq)
     info.truncated_bytes = tail.truncated_bytes
+    if tail.truncated_bytes:
+        # Appends land at the end of the file: behind a torn tail they
+        # would be unreachable to the next replay, which stops there.
+        manager.wal.drop_torn_tail(tail.segments[-1], tail.truncated_bytes)
     info.segments = tail.segments
     for record in tail.records:
         kind = record["kind"]

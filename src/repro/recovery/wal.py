@@ -23,7 +23,11 @@ Two record kinds share the log:
 
 Records are CRC-framed (:mod:`repro.recovery.framing`); reads are
 tolerant — a torn tail is truncated silently because the record it lost
-was never acknowledged as durable.
+was never acknowledged as durable.  :meth:`WriteAheadLog.read_from` only
+skips the torn bytes; :func:`~repro.recovery.manager.recover` then cuts
+them off the file (:meth:`WriteAheadLog.drop_torn_tail`, an atomic
+rewrite) before anything is appended, because a record written behind
+garbage is one the next replay never reaches.
 """
 
 from __future__ import annotations
@@ -110,6 +114,14 @@ class WriteAheadLog:
             result.segments.append(segment)
             result.truncated_bytes = scan.truncated_bytes
         return result
+
+    def drop_torn_tail(self, seq: int, torn_bytes: int) -> None:
+        """Cut the last ``torn_bytes`` off segment ``seq``, leaving the
+        valid prefix :meth:`read_from` reported.  Swapped in atomically,
+        so a crash mid-repair leaves the torn file for the next recovery
+        to repair again."""
+        data = self.storage.read(self.name(seq))
+        self.storage.write_atomic(self.name(seq), data[: len(data) - torn_bytes])
 
     def prune_below(self, seq: int) -> None:
         """Drop segments older than ``seq`` (their records are covered

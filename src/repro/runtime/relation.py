@@ -350,18 +350,16 @@ class StoredRelation:
 
         has_old = origin[firsts] == 0
 
-        # Combine the new rows of each segment with ⊕.
+        # ``_dedup`` already ⊕-combined the delta, so a segment holds at
+        # most one new row: its tag is the segment's new tag as it stands.
         new_rows = np.flatnonzero(origin == 1)
-        new_segments = segment_ids[new_rows]
         seg_has_new = np.zeros(nseg, dtype=bool)
-        seg_has_new[new_segments] = True
+        seg_has_new[segment_ids[new_rows]] = True
         # Dense renumbering of segments that contain new rows.
         dense_of_seg = np.cumsum(seg_has_new) - 1
-        combined_new = prov.oplus_reduce(
-            combined_tags[new_rows], dense_of_seg[new_segments], int(seg_has_new.sum())
-        )
+        combined_new = combined_tags[new_rows]
 
-        out_tags = combined_tags[firsts].copy()
+        out_tags = combined_tags[firsts]
         improved = ~has_old & seg_has_new  # brand-new facts
         both = has_old & seg_has_new
         if both.any():

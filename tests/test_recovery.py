@@ -25,7 +25,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import (
@@ -189,6 +189,10 @@ FRACTIONS = st.sampled_from([0.0, 0.2, 0.45, 0.6, 0.8, 0.97, 1.0])
 SCHEDULES = st.lists(
     st.tuples(st.integers(0, 24), FRACTIONS), min_size=1, max_size=3
 ).map(lambda pairs: [{op: frac} for op, frac in pairs])
+#: Found by hypothesis: incarnation 1 tears a WAL append, incarnation 2
+#: dies right after appending *behind* the torn bytes — records there were
+#: unreachable to every later replay until recovery cut the tear off.
+APPEND_BEHIND_TORN_TAIL = [{1: 0.2}, {2: 0.0}]
 
 
 class TestCrashSchedules:
@@ -196,6 +200,7 @@ class TestCrashSchedules:
 
     @pytest.mark.parametrize("provenance", SEMIRINGS)
     @settings(max_examples=12, deadline=None)
+    @example(schedules=APPEND_BEHIND_TORN_TAIL)
     @given(schedules=SCHEDULES)
     def test_tc_recovers_bitwise_equal(self, provenance, schedules):
         want = run_uninterrupted(lambda: tc_setup(provenance), 8)
@@ -209,6 +214,7 @@ class TestCrashSchedules:
             shutil.rmtree(root)
 
     @settings(max_examples=8, deadline=None)
+    @example(schedules=APPEND_BEHIND_TORN_TAIL)
     @given(schedules=SCHEDULES)
     def test_cspa_recovers_bitwise_equal(self, schedules):
         want = run_uninterrupted(lambda: cspa_setup("minmaxprob"), 7)
@@ -222,6 +228,7 @@ class TestCrashSchedules:
             shutil.rmtree(root)
 
     @settings(max_examples=10, deadline=None)
+    @example(schedules=APPEND_BEHIND_TORN_TAIL)
     @given(schedules=SCHEDULES)
     def test_subscription_exactly_once(self, schedules):
         """No ViewDelta lost, none duplicated, across any crash point."""
@@ -284,6 +291,38 @@ class TestLogSemantics:
         assert views["s"].ticks_applied == 3  # the torn tick is gone...
         manager2.apply("s", feed2.advance())  # ...and regenerates live
         assert views["s"].ticks_applied == 4
+        assert fingerprint(views["s"]) == run_uninterrupted(
+            lambda: tc_setup("unit"), 4
+        )
+
+    def test_torn_tail_is_cut_off_before_the_next_append(self, tmp_path):
+        """Records appended after a torn-tail recovery must survive the
+        *next* recovery: the tear is removed from the file, not merely
+        skipped, or they sit behind garbage no replay reads past."""
+        engine, feed = tc_setup("unit")
+        view = MaterializedView(engine, name="s")
+        manager = RecoveryManager(tmp_path, checkpoint_every=10)
+        manager.register("s", view, feed)
+        for _ in range(3):
+            manager.apply("s", feed.advance())
+        wal = tmp_path / "wal-00000000.log"
+        wal.write_bytes(wal.read_bytes()[:-7])  # tear the third record
+
+        engine2, feed2 = tc_setup("unit")
+        manager2, _, info = recover(
+            tmp_path, {"s": (engine2, feed2)}, checkpoint_every=10
+        )
+        assert info.truncated_bytes > 0
+        assert read_frames(wal.read_bytes()).clean  # repaired on disk
+        for _ in range(2):
+            manager2.apply("s", feed2.advance())
+
+        engine3, feed3 = tc_setup("unit")
+        _, views, info = recover(
+            tmp_path, {"s": (engine3, feed3)}, checkpoint_every=10
+        )
+        assert info.truncated_bytes == 0
+        assert info.replayed_deltas == 4  # two from before the tear, two after
         assert fingerprint(views["s"]) == run_uninterrupted(
             lambda: tc_setup("unit"), 4
         )
