@@ -68,6 +68,16 @@ class Measurement:
         return f"{self.seconds:.3f}s"
 
 
+def tiny_scale() -> bool:
+    """The one benchmark scale switch: ``LOBSTER_BENCH_SCALE=tiny``
+    (what ``run_all.py --tiny`` and the CI smoke job set) shrinks every
+    suite to smoke-test sizes; unset or ``full`` runs paper-shaped sizes."""
+    scale = os.environ.get("LOBSTER_BENCH_SCALE", "full")
+    if scale not in ("tiny", "full"):
+        raise ValueError(f"LOBSTER_BENCH_SCALE must be 'tiny' or 'full', got {scale!r}")
+    return scale == "tiny"
+
+
 def _env_int(name: str, default: int) -> int:
     try:
         return int(os.environ.get(name, default))

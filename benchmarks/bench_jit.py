@@ -12,14 +12,12 @@ hot CSPA.  For each, the same request loop runs on an interpreted engine
 and a JIT'd engine; identity of results is asserted row-for-row and
 tag-for-tag.  Gate: >= 2x on modeled device busy seconds for the unit-TC
 loop (the deterministic simulated clock — wall time is reported as a
-multi-trial mean +/- stddev but never gated).  ``LOBSTER_JIT_TINY=1``
+multi-trial mean +/- stddev but never gated).  ``LOBSTER_BENCH_SCALE=tiny``
 shrinks inputs for CI smoke runs and skips the gate (tiny inputs are
 launch-latency noise).
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pytest
@@ -27,11 +25,11 @@ import pytest
 from repro import JitConfig, LobsterEngine, ProgramCache
 from repro.workloads.analytics import CSPA
 
-from _harness import print_table, record, report, timed
+from _harness import print_table, record, report, timed, tiny_scale
 
 SUITE = "jit"
 
-TINY = bool(os.environ.get("LOBSTER_JIT_TINY"))
+TINY = tiny_scale()
 
 TC = """
 rel path(x, y) :- edge(x, y) or (path(x, z) and edge(z, y)).

@@ -12,15 +12,13 @@ the serving workload (the hottest instrumented path):
   spans, the opt-in firehose) costs under 5% host wall time against the
   untraced baseline at full benchmark size.  Wall time is measured over
   several trials with a warmup; the gate is skipped under
-  ``LOBSTER_OBS_TINY=1`` where launch latency dominates and the ratio
+  ``LOBSTER_BENCH_SCALE=tiny`` where launch latency dominates and the ratio
   is noise;
 * **determinism** — two same-seed traced runs export byte-identical
   Perfetto JSON (the replay property the whole obs/ design serves).
 """
 
 from __future__ import annotations
-
-import os
 
 import pytest
 
@@ -29,11 +27,11 @@ from repro.obs import NULL_TRACER, dumps_trace_events, validate_trace_events
 from repro.obs import to_trace_events
 from repro.workloads.analytics import TRANSITIVE_CLOSURE
 
-from _harness import print_table, record, report, timed
+from _harness import print_table, record, report, timed, tiny_scale
 
 SUITE = "obs"
 
-TINY = bool(os.environ.get("LOBSTER_OBS_TINY"))
+TINY = tiny_scale()
 N_REQUESTS = 20 if TINY else 120
 N_NODES, N_EDGES = (10, 20) if TINY else (18, 40)
 WALL_TRIALS = 2 if TINY else 4

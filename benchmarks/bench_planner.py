@@ -18,7 +18,7 @@ statistics-driven cost-based planner (``LobsterEngine(adaptive=True)``):
   cost-based ordering inside a recursive stratum.
 
 Identity of results between both planners is asserted for every
-workload.  ``LOBSTER_PLANNER_TINY=1`` shrinks inputs for CI smoke runs
+workload.  ``LOBSTER_BENCH_SCALE=tiny`` shrinks inputs for CI smoke runs
 (the >= 1.5x gate is skipped there: tiny inputs are launch-latency
 noise); a versioned markdown summary lands in ``benchmarks/results/``
 via ``run_all.py``.
@@ -26,19 +26,17 @@ via ``run_all.py``.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
 from repro import LobsterEngine, ProgramCache
 from repro.workloads.analytics import CSPA
 
-from _harness import print_table, profile_metrics, record, report
+from _harness import print_table, profile_metrics, record, report, tiny_scale
 
 SUITE = "planner"
 
-TINY = bool(os.environ.get("LOBSTER_PLANNER_TINY"))
+TINY = tiny_scale()
 
 SKEWED_JOIN = """
 rel hit(x, z) :- big_a(x, y) and big_b(y, z) and tiny(x).

@@ -17,14 +17,13 @@ on:
   worst-case recovery time) so the knee is visible.
 
 Results go to a versioned markdown summary under ``benchmarks/results/``
-(`recovery-<stamp>.md`).  ``LOBSTER_RECOVERY_TINY=1`` shrinks sizes for
+(`recovery-<stamp>.md`).  ``LOBSTER_BENCH_SCALE=tiny`` shrinks sizes for
 CI smoke.
 """
 
 from __future__ import annotations
 
 import datetime
-import os
 import platform
 import shutil
 import tempfile
@@ -41,11 +40,11 @@ from repro import (
 )
 from repro.stream import RelationStream, SlidingWindow
 
-from _harness import Measurement, print_table, record, report, timed
+from _harness import Measurement, print_table, record, report, timed, tiny_scale
 
 SUITE = "recovery"
 
-TINY = bool(os.environ.get("LOBSTER_RECOVERY_TINY"))
+TINY = tiny_scale()
 
 GRAPH_N = 16 if TINY else 40
 PER_TICK = 3

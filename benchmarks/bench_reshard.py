@@ -20,7 +20,7 @@ at matched 2-shard provisioning by >= 1.5x modeled busy-seconds, never
 loses at any static shard count, migrates exactly when payback exceeds
 migration cost (a zero-payback controller declines every plan), and
 never loses on the uniform (skew-free) variant of the same workload.
-``LOBSTER_RESHARD_TINY=1`` shrinks the graph to smoke-test the elastic
+``LOBSTER_BENCH_SCALE=tiny`` shrinks the graph to smoke-test the elastic
 paths (CI); latency floors dominate tiny deltas, so the ratio
 assertions are skipped there — result identity and cost-gating are
 still checked.
@@ -28,19 +28,17 @@ still checked.
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro import ElasticController, LobsterEngine, ShardMap
 from repro.workloads.analytics import TRANSITIVE_CLOSURE
 from repro.workloads.graphs import zipf_overlap
 
-from _harness import print_table, profile_metrics, record, report
+from _harness import print_table, profile_metrics, record, report, tiny_scale
 
 SUITE = "reshard"
 
-TINY = bool(os.environ.get("LOBSTER_RESHARD_TINY"))
+TINY = tiny_scale()
 STATIC_SHARDS = [1, 2, 4, 8]
 #: Both systems are provisioned with this many shards; only the elastic
 #: one may grow past it.

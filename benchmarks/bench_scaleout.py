@@ -13,7 +13,7 @@ communication term broken out.
 Shape asserted: on a large transitive closure the makespan decreases
 monotonically from 1 to 4 shards (the paper-adjacent scaling claim);
 the 8-shard point is reported to show where exchange latency turns the
-curve.  ``LOBSTER_SCALEOUT_TINY=1`` shrinks the workloads to smoke-test
+curve.  ``LOBSTER_BENCH_SCALE=tiny`` shrinks the workloads to smoke-test
 the sharded paths (CI); the monotonicity assertion is skipped there —
 latency terms dominate tiny deltas — but result identity is still
 checked at every shard count.
@@ -21,19 +21,17 @@ checked at every shard count.
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro import LobsterEngine
 from repro.workloads.analytics import CSPA, TRANSITIVE_CLOSURE, cspa_instance
 from repro.workloads.graphs import load_graph, road_grid
 
-from _harness import print_table, profile_metrics, record, report
+from _harness import print_table, profile_metrics, record, report, tiny_scale
 
 SUITE = "scaleout"
 
-TINY = bool(os.environ.get("LOBSTER_SCALEOUT_TINY"))
+TINY = tiny_scale()
 SHARD_COUNTS = [1, 2, 4, 8]
 
 

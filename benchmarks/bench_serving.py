@@ -21,26 +21,22 @@ loads, for 1 and 4 devices, and asserts the canonical shapes:
 Offered loads are expressed as multiples of measured single-device
 capacity (1 / mean modeled service time), so the curves keep their
 shape if the cost model's constants change.  Everything runs on the
-serve clock (simulated seconds); ``LOBSTER_SERVE_TINY=1`` shrinks the
+serve clock (simulated seconds); ``LOBSTER_BENCH_SCALE=tiny`` shrinks the
 stream for CI.
 """
 
 from __future__ import annotations
-
-import os
 
 import pytest
 
 from repro import DevicePool, LoadGenerator, LobsterEngine, Scheduler, SLOClass
 from repro.workloads.analytics import TRANSITIVE_CLOSURE
 
-from _harness import print_table, record, report
+from _harness import print_table, record, report, tiny_scale
 
 SUITE = "serving"
 
-TINY = bool(
-    os.environ.get("LOBSTER_SERVE_TINY") or os.environ.get("LOBSTER_SCALEOUT_TINY")
-)
+TINY = tiny_scale()
 N_NODES, N_EDGES = (10, 18) if TINY else (20, 45)
 N_REQUESTS = 40 if TINY else 150
 #: Deadline in units of mean service time.  Scaled down with the tiny

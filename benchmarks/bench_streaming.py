@@ -27,14 +27,13 @@ database state:
 Fidelity is asserted inline: after the measured ticks, the maintained
 view must equal the cold run bit-for-bit (rows and probabilities).
 Results go to a versioned markdown summary under ``benchmarks/results/``
-(`streaming-<stamp>.md`).  ``LOBSTER_STREAM_TINY=1`` shrinks sizes for
+(`streaming-<stamp>.md`).  ``LOBSTER_BENCH_SCALE=tiny`` shrinks sizes for
 CI smoke.
 """
 
 from __future__ import annotations
 
 import datetime
-import os
 import platform
 from pathlib import Path
 
@@ -55,11 +54,11 @@ from repro.workloads.analytics import TRANSITIVE_CLOSURE
 from repro.workloads.static_analysis import PROGRAM as PSA_PROGRAM
 from repro.workloads.static_analysis import psa_instance
 
-from _harness import print_table, record, report
+from _harness import print_table, record, report, tiny_scale
 
 SUITE = "streaming"
 
-TINY = bool(os.environ.get("LOBSTER_STREAM_TINY"))
+TINY = tiny_scale()
 
 #: Window-workload sizing: backbone depth drives the cold iteration
 #: ladder; the window churns leaf edges (small blast radius).

@@ -59,17 +59,6 @@ from repro.perf.record import (  # noqa: E402
 )
 from repro.perf.regress import DEFAULT_THRESHOLD, check_records  # noqa: E402
 
-TINY_FLAGS = (
-    "LOBSTER_SCALEOUT_TINY",
-    "LOBSTER_SERVE_TINY",
-    "LOBSTER_STREAM_TINY",
-    "LOBSTER_PLANNER_TINY",
-    "LOBSTER_RECOVERY_TINY",
-    "LOBSTER_JIT_TINY",
-    "LOBSTER_OBS_TINY",
-    "LOBSTER_RESHARD_TINY",
-)
-
 
 def read_version() -> str:
     # Same anchored parse as setup.py, so the two can never disagree on
@@ -175,7 +164,7 @@ def main() -> int:
     parser.add_argument("--filter", default=None, help="substring filter on file names")
     parser.add_argument(
         "--tiny", action="store_true",
-        help=f"set {', '.join(TINY_FLAGS)} (CI smoke sizes)",
+        help="set LOBSTER_BENCH_SCALE=tiny (CI smoke sizes)",
     )
     parser.add_argument(
         "--keep", type=int, default=10, metavar="N",
@@ -222,8 +211,7 @@ def main() -> int:
     env["LOBSTER_BENCH_TRIALS"] = str(max(args.trials, 1))
     env["LOBSTER_BENCH_WARMUPS"] = str(max(args.warmups, 0))
     if args.tiny:
-        for flag in TINY_FLAGS:
-            env[flag] = "1"
+        env["LOBSTER_BENCH_SCALE"] = "tiny"
 
     rows: list[tuple[str, str, float]] = []
     all_ok = True

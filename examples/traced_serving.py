@@ -35,7 +35,7 @@ from repro import (
 from repro.obs import explain_run, export_perfetto, profile, validate_trace_events
 from repro.workloads.analytics import TRANSITIVE_CLOSURE
 
-TINY = bool(os.environ.get("LOBSTER_OBS_TINY"))
+TINY = os.environ.get("LOBSTER_BENCH_SCALE") == "tiny"
 N_REQUESTS = 12 if TINY else 40
 SEED = 13
 

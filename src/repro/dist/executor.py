@@ -281,16 +281,8 @@ class ShardedExecutor:
         old_n = self.n_shards
         n = shard_map.n_shards
         if n > old_n:
-            template = self.devices[0]
             for _ in range(old_n, n):
-                device = VirtualDevice(
-                    capacity_bytes=template.capacity_bytes,
-                    bandwidth_bytes_per_s=template.bandwidth_bytes_per_s,
-                    transfer_latency_s=template.transfer_latency_s,
-                    reuse_buffers=template.reuse_buffers,
-                    exchange_bandwidth_bytes_per_s=template.exchange_bandwidth_bytes_per_s,
-                    exchange_latency_s=template.exchange_latency_s,
-                )
+                device = self.devices[0].clone()
                 self.devices.append(device)
                 interpreter = self._make_interpreter(device)
                 if self._shard_feedbacks is not None:

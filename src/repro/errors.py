@@ -55,7 +55,15 @@ class EvaluationTimeout(LobsterError):
 
 
 class ProvenanceError(LobsterError):
-    """Raised on invalid tag operations (e.g. proof capacity overflow)."""
+    """Raised on invalid tag operations (e.g. proof capacity overflow)
+    and on semiring keywords the named semiring does not accept."""
+
+
+class UnknownProvenanceError(ProvenanceError, KeyError):
+    """Raised when no semiring is registered under the requested name
+    (also a :class:`KeyError`, which registry lookups raised before)."""
+
+    __str__ = Exception.__str__  # KeyError would repr-quote the message
 
 
 class RetractionUnsupportedError(LobsterError):

@@ -197,6 +197,18 @@ class VirtualDevice:
         # Static registers (hash indices reused across iterations, §4.2).
         self._statics: dict[object, object] = {}
 
+    def clone(self) -> "VirtualDevice":
+        """A fresh device (empty arena, zeroed profile) with this one's
+        capacity and cost-model parameters — how a shard pool grows."""
+        return VirtualDevice(
+            capacity_bytes=self.capacity_bytes,
+            bandwidth_bytes_per_s=self.bandwidth_bytes_per_s,
+            transfer_latency_s=self.transfer_latency_s,
+            reuse_buffers=self.reuse_buffers,
+            exchange_bandwidth_bytes_per_s=self.exchange_bandwidth_bytes_per_s,
+            exchange_latency_s=self.exchange_latency_s,
+        )
+
     # ------------------------------------------------------------------
     # Allocation
 

@@ -8,10 +8,12 @@ general top-k are registered here.
 
 from __future__ import annotations
 
+import inspect
 from typing import Callable
 
 from .addmultprob import AddMultProbProvenance
 from .base import Provenance
+from ..errors import ProvenanceError, UnknownProvenanceError
 from .diff_addmultprob import DiffAddMultProbProvenance
 from .diff_minmaxprob import DiffMinMaxProbProvenance
 from .diff_top1proof import DiffTop1ProofProvenance
@@ -28,13 +30,29 @@ def register(name: str, factory: Callable[..., Provenance]) -> None:
 
 
 def create(name: str, **kwargs) -> Provenance:
-    """Instantiate a provenance semiring by registry name."""
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
+    """Instantiate a provenance semiring by registry name.
+
+    Raises :class:`~repro.errors.UnknownProvenanceError` for a name
+    nobody registered and :class:`~repro.errors.ProvenanceError` for
+    keywords the semiring does not take — ``LobsterEngine`` forwards its
+    unrecognized keywords here, so a misspelt engine option lands on
+    this message rather than a bare ``TypeError``."""
+    factory = _REGISTRY.get(name)
+    if factory is None:
         known = ", ".join(sorted(_REGISTRY))
-        raise KeyError(f"unknown provenance {name!r}; known: {known}") from None
-    return factory(**kwargs)
+        raise UnknownProvenanceError(f"unknown provenance {name!r}; known: {known}")
+    try:
+        return factory(**kwargs)
+    except TypeError:
+        signature = inspect.signature(factory)
+        try:
+            signature.bind(**kwargs)
+        except TypeError as mismatch:
+            accepted = ", ".join(signature.parameters) or "none"
+            raise ProvenanceError(
+                f"provenance {name!r}: {mismatch}; it accepts: {accepted}"
+            ) from None
+        raise  # a TypeError from inside the constructor, not its signature
 
 
 def available() -> list[str]:

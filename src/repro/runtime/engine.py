@@ -16,13 +16,21 @@ separately from the one-time cost, SPEC-style.
 Engines are also **incremental**: adding facts to an already-evaluated
 database marks them as a delta, and the next :meth:`LobsterEngine.run`
 seeds the semi-naive frontier from those deltas instead of recomputing
-the full fix point (falling back to an automatic from-scratch rerun when
-the program or provenance makes delta-seeding unsound).  Deltas are
-*signed*: :meth:`Database.retract_facts` stages deletions, which the
-next run applies through a DRed-style maintain pass (over-delete,
-head-restricted re-derive, delta-seeded propagate) — or, for negation,
-non-idempotent ⊕, or sharded engines, through a checkpointed recompute
-of the surviving facts.  Either way results match a cold evaluation.
+the full fix point.  Deltas are *signed*: :meth:`Database.retract_facts`
+stages deletions, which the next run applies through a DRed-style
+maintain pass (over-delete, head-restricted re-derive, delta-seeded
+propagate).  Either way results match a cold evaluation.
+
+Every run takes **one path** above the fix-point loop.
+:meth:`LobsterEngine._resolve` picks the mode — ``cold``, ``incremental``
+or ``maintain`` — from one requirement table (:data:`MODE_REQUIREMENTS`):
+a mode whose required properties do not all hold falls back to a rebuild
+and cold rerun, or raises if it was requested explicitly.
+:meth:`LobsterEngine._execute` then runs the plan over a list of *lanes*,
+one interpreter per device — the caller's warm one (sessions, pools), a
+fresh one on ``engine.device``, or the sharded executor's per-shard set —
+with one attach/detach of feedback, trace-JIT and tracer hooks and one
+profile accounting.  A single device is the one-lane case.
 
 Example
 -------
@@ -41,6 +49,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -55,7 +64,7 @@ from .cache import (
 from .database import Database
 from ..apm.compiler import ApmProgram
 from ..apm.interpreter import DEFAULT_MAX_ITERATIONS, ApmInterpreter
-from ..errors import LobsterError, RetractionUnsupportedError
+from ..errors import LobsterError, ProvenanceError, RetractionUnsupportedError
 from ..gpu.device import DeviceProfile, VirtualDevice
 from ..jit import (
     JitConfig,
@@ -186,6 +195,46 @@ class ExecutionResult:
         )
 
 
+class Requirement(NamedTuple):
+    """A property a run mode can require: its name, whether it holds for
+    ``(engine, database)``, and the reason reported when it does not."""
+
+    name: str
+    holds: Callable[["LobsterEngine", Database], bool]
+    reason: str
+
+
+IDEMPOTENT = Requirement(
+    "idempotent ⊕",
+    lambda engine, database: database.provenance.idempotent_oplus,
+    "provenance {provenance!r} has a non-idempotent ⊕ (re-derivation "
+    "would double-count alternatives)",
+)
+NEGATION_FREE = Requirement(
+    "negation-free",
+    lambda engine, database: not engine.apm.has_negation,
+    "program uses stratified negation (a delta can flip negated "
+    "conclusions, which delta-seeding and over-delete/re-derive cannot express)",
+)
+SINGLE_LANE = Requirement(
+    "single lane",
+    lambda engine, database: not engine._use_sharded(),
+    "sharded engines rebuild and rerun from scratch (the replicated "
+    "closure tracks no per-shard changed or doom masks)",
+)
+
+#: The requirement table — the one place ⊕-idempotence, negation and
+#: shard count are combined.  A run takes a mode only when every property
+#: its row names holds; otherwise it falls back to ``cold`` and the first
+#: missing property supplies the reason.  ``supports_incremental``,
+#: ``supports_maintain`` and ``_resolve`` read it; docs/architecture.md renders it.
+MODE_REQUIREMENTS: dict[str, tuple[Requirement, ...]] = {
+    "cold": (),
+    "incremental": (IDEMPOTENT, NEGATION_FREE, SINGLE_LANE),
+    "maintain": (IDEMPOTENT, NEGATION_FREE, SINGLE_LANE),
+}
+
+
 class LobsterEngine:
     """Compile once, run against many databases."""
 
@@ -263,6 +312,12 @@ class LobsterEngine:
         self.optimizations = optimizations or OptimizationConfig()
         self.max_iterations = max_iterations
         if isinstance(provenance, Provenance):
+            if provenance_kwargs:
+                raise ProvenanceError(
+                    f"unexpected keyword(s) {sorted(provenance_kwargs)}: extra "
+                    "keywords configure a semiring named by string, and "
+                    "provenance= is already an instance"
+                )
             import copy
 
             template = copy.deepcopy(provenance)
@@ -425,61 +480,29 @@ class LobsterEngine:
 
     # ------------------------------------------------------------------
 
-    def supports_incremental(self, database: Database) -> bool:
-        """Whether a delta-seeded re-run of ``database`` is sound.
+    def _missing(self, mode: str, database: Database) -> str | None:
+        """Why ``mode`` is unsound for ``database`` on this engine: the
+        first :data:`MODE_REQUIREMENTS` property missing, or None."""
+        for requirement in MODE_REQUIREMENTS[mode]:
+            if not requirement.holds(self, database):
+                return requirement.reason.format(provenance=database.provenance.name)
+        return None
 
-        Requires an idempotent ⊕ (re-derivation from warm state must be
-        absorbed) and a negation-free program (new facts may *retract*
-        negated conclusions, which monotone delta-seeding cannot express).
-        Sharded engines always rerun from scratch: the delta-seeded warm
-        path would need per-shard ``changed`` masks the replicated
-        closure does not track.
-        """
-        return (
-            database.provenance.idempotent_oplus
-            and not self.apm.has_negation
-            and not self._use_sharded()
-        )
+    def supports_incremental(self, database: Database) -> bool:
+        """Whether a delta-seeded re-run of ``database`` is sound (the
+        ``incremental`` row of :data:`MODE_REQUIREMENTS` holds)."""
+        return self._missing("incremental", database) is None
 
     def supports_maintain(self, database: Database) -> tuple[bool, str | None]:
-        """Whether a DRed-style maintain pass of ``database`` is sound;
-        returns ``(ok, reason)`` where ``reason`` names the blocking
-        property when it is not.
-
-        Maintenance shares incremental evaluation's two preconditions —
-        an idempotent ⊕ (re-derivation must be absorbed, not summed) and
-        a negation-free program (a retraction can *add* negated
-        conclusions, which over-delete/re-derive cannot express) — and
-        like the insert-only warm path it is single-device: a sharded
-        engine's replicated closure does not track the per-shard masks
-        over-delete needs, so retractions there route through the
-        checkpointed-recompute fallback instead of the exchange path.
-        """
-        if not database.provenance.idempotent_oplus:
-            reason = (
-                f"provenance {database.provenance.name!r} has a "
-                "non-idempotent ⊕ (re-derivation would double-count "
-                "alternatives)"
-            )
-            return False, reason
-        if self.apm.has_negation:
-            return False, (
-                "program uses stratified negation (a retraction can add "
-                "negated conclusions, which over-delete/re-derive cannot "
-                "express)"
-            )
-        if self._use_sharded():
-            return False, (
-                "sharded engines rebuild and rerun from scratch on "
-                "retraction (the replicated closure tracks no per-shard "
-                "doom masks)"
-            )
-        return True, None
+        """Whether a DRed-style maintain pass of ``database`` is sound:
+        ``(ok, reason)``, ``reason`` naming the first missing property of
+        the ``maintain`` row of :data:`MODE_REQUIREMENTS`."""
+        reason = self._missing("maintain", database)
+        return reason is None, reason
 
     def _use_sharded(self) -> bool:
-        """Whether runs go through the sharded executor (negation makes a
-        program non-partitionable: stratified negation is only sound
-        against complete relations, so the engine falls back)."""
+        """Whether runs go through the sharded executor (never a negated
+        program's: negation is only sound against complete relations)."""
         return self.shards > 1 and not self.apm.has_negation
 
     def reshard(self, shard_map) -> None:
@@ -502,23 +525,10 @@ class LobsterEngine:
         n = shard_map.n_shards
         if n < 1:
             raise LobsterError(f"shard_map must cover >= 1 shard, got {n}")
-        if n > len(self.shard_devices):
-            template = (
-                self.shard_devices[0] if self.shard_devices else self.device
-            )
-            for _ in range(n - len(self.shard_devices)):
-                self.shard_devices.append(
-                    VirtualDevice(
-                        capacity_bytes=template.capacity_bytes,
-                        bandwidth_bytes_per_s=template.bandwidth_bytes_per_s,
-                        transfer_latency_s=template.transfer_latency_s,
-                        reuse_buffers=template.reuse_buffers,
-                        exchange_bandwidth_bytes_per_s=template.exchange_bandwidth_bytes_per_s,
-                        exchange_latency_s=template.exchange_latency_s,
-                    )
-                )
-        elif n < len(self.shard_devices):
-            del self.shard_devices[n:]
+        template = self.shard_devices[0] if self.shard_devices else self.device
+        while len(self.shard_devices) < n:
+            self.shard_devices.append(template.clone())
+        del self.shard_devices[n:]
         self.shards = n
         self.shard_map = shard_map
         self._sharded_executor = None
@@ -653,6 +663,9 @@ class LobsterEngine:
         jit_recorder, jit_state, jit_reason = self._prepare_jit(
             active, database, feedback
         )
+        # Resolved before the span opens: a refused request never ran.
+        mode, fallback = self._resolve(database, incremental, maintain)
+        lanes, executor = self._lanes(_interpreter)
         run_span = None
         if run_tracer.enabled:
             run_span = run_tracer.start(
@@ -667,33 +680,20 @@ class LobsterEngine:
                 run_tracer.event(
                     "plan.replan", parent=run_span, plan=active.key[:12]
                 )
-        if self._use_sharded() and _interpreter is None:
-            result = self._run_sharded(
-                database,
-                apm=active.apm,
-                feedback=feedback,
-                incremental=incremental,
-                maintain=maintain,
-                reset_profile=reset_profile,
-                jit_recorder=jit_recorder,
-                jit_state=jit_state,
-                tracer=run_tracer,
-                run_span=run_span,
-            )
-        else:
-            result = self._run_single(
-                database,
-                apm=active.apm,
-                feedback=feedback,
-                incremental=incremental,
-                maintain=maintain,
-                reset_profile=reset_profile,
-                _interpreter=_interpreter,
-                jit_recorder=jit_recorder,
-                jit_state=jit_state,
-                tracer=run_tracer,
-                run_span=run_span,
-            )
+        result = self._execute(
+            active.apm,
+            database,
+            mode,
+            lanes,
+            executor,
+            reset_profile=reset_profile,
+            feedback=feedback,
+            jit_recorder=jit_recorder,
+            jit_state=jit_state,
+            tracer=run_tracer,
+            run_span=run_span,
+        )
+        result.maintain_fallback = fallback
         if jit_recorder is not None and self._program_cache is not None:
             # The recording run executed interpreted; compile its trace
             # now so the next run enters the code cache.
@@ -765,29 +765,19 @@ class LobsterEngine:
             run_tracer.set_time(end)
         return result
 
-    def _run_single(
-        self,
-        database: Database,
-        *,
-        apm: ApmProgram,
-        feedback: PlanFeedback | None,
-        incremental: bool | None,
-        maintain: bool | None,
-        reset_profile: bool,
-        _interpreter: ApmInterpreter | None,
-        jit_recorder: TraceRecorder | None = None,
-        jit_state: JitRunState | None = None,
-        tracer=NULL_TRACER,
-        run_span=None,
-    ) -> ExecutionResult:
-        device = _interpreter.device if _interpreter is not None else self.device
-        if reset_profile:
-            device.profile.reset()
-        run_incremental = False
-        run_maintain = False
+    def _resolve(
+        self, database: Database, incremental: bool | None, maintain: bool | None
+    ) -> tuple[str, str | None]:
+        """Decide this run's mode from :data:`MODE_REQUIREMENTS`:
+        ``(mode, fallback)`` with mode one of ``cold`` / ``incremental``
+        / ``maintain`` and ``fallback`` the reason staged retractions
+        took the checkpointed recompute instead of the in-place pass.
+        Applies the rebuild a fallback needs; an explicit request the
+        table calls unsound raises instead of falling back."""
         fallback: str | None = None
         if database.has_pending_retractions:
-            eligible, reason = self.supports_maintain(database)
+            reason = self._missing("maintain", database)
+            eligible = reason is None
             if not database.evaluated:
                 # Nothing derived yet: the retraction only edits the
                 # staged input facts, and the first run is cold anyway.
@@ -795,142 +785,56 @@ class LobsterEngine:
             if maintain is False:
                 eligible, reason = False, "maintain=False requested"
             if eligible:
-                run_maintain = True
-            elif maintain:
+                return "maintain", None
+            if maintain:
                 raise RetractionUnsupportedError(
                     reason or "database has never been evaluated"
                 )
-            else:
-                fallback = reason
-                database.rebuild()  # discards retracted instances first
+            fallback = reason
+            database.rebuild()  # discards retracted instances first
         elif maintain:
             raise RetractionUnsupportedError(
                 "no retractions are staged; maintain=True only applies to "
                 "a database with pending retract_facts deltas"
             )
-        if (
-            not run_maintain
-            and database.evaluated
-            and (database.has_pending_facts or incremental)
-        ):
-            eligible = self.supports_incremental(database)
-            if incremental is None:
-                run_incremental = eligible
-            elif incremental and not eligible:
+        if database.evaluated and (database.has_pending_facts or incremental):
+            reason = self._missing("incremental", database)
+            if incremental and reason is not None:
                 raise LobsterError(
-                    "incremental evaluation requires an idempotent ⊕ and a "
-                    "negation-free program; let the engine fall back by "
-                    "omitting incremental=True"
+                    f"incremental evaluation is unsound here: {reason}; "
+                    "let the engine fall back by omitting incremental=True"
                 )
-            else:
-                run_incremental = bool(incremental)
-            if run_incremental:
+            if incremental or (incremental is None and reason is None):
                 database.begin_delta_tracking()
-            else:
-                database.rebuild()
-        before = device.profile.snapshot()
-        interpreter = _interpreter or ApmInterpreter(
+                return "incremental", None
+            database.rebuild()
+        return "cold", fallback
+
+    def _make_interpreter(
+        self, device: VirtualDevice, warm: bool = False
+    ) -> ApmInterpreter:
+        """An interpreter on ``device`` under this engine's optimization
+        flags.  ``warm`` (sessions) keeps allocation sites across runs,
+        so queries after the first reuse the previous one's buffers."""
+        return ApmInterpreter(
             device,
             enable_static_reuse=self.optimizations.static_indices,
             enable_buffer_reuse=self.optimizations.buffer_reuse,
             enable_stratum_scheduling=self.optimizations.stratum_scheduling,
             max_iterations=self.max_iterations,
-        )
-        iterations_before = interpreter.iterations_run
-        # A recording run without an adaptive feedback still needs one
-        # attached: the recorder's observed cardinalities come from it.
-        run_feedback = feedback
-        if run_feedback is None and jit_recorder is not None:
-            run_feedback = jit_recorder.feedback
-        interpreter.feedback = run_feedback
-        interpreter.jit_recorder = jit_recorder
-        interpreter.jit_state = jit_state
-        if run_span is not None:
-            # Interior spans (strata, iterations, variants) timestamp
-            # themselves off the device's busy clock, anchored at the
-            # run span's start on the modeled timeline.
-            interpreter.tracer = tracer
-            interpreter.trace_clock = tracer.device_clock(device)
-            interpreter.trace_parent = run_span
-        start = time.perf_counter()
-        try:
-            if run_maintain:
-                interpreter.maintain(apm, database)
-            else:
-                interpreter.run(apm, database, incremental=run_incremental)
-        finally:
-            interpreter.feedback = None
-            interpreter.jit_recorder = None
-            interpreter.jit_state = None
-            interpreter.tracer = NULL_TRACER
-            interpreter.trace_clock = None
-            interpreter.trace_parent = None
-        wall = time.perf_counter() - start
-        database.evaluated = True
-        # The result always carries its own per-run counter copy — the
-        # live device profile is reset by the next run on this engine.
-        run_profile = device.profile.since(before)
-        overhead = run_profile.transfer_seconds + (
-            0.0 if self.optimizations.buffer_reuse else run_profile.alloc_seconds
-        )
-        return ExecutionResult(
-            wall,
-            overhead,
-            interpreter.iterations_run - iterations_before,
-            run_profile,
-            compile_seconds=self.compile_seconds,
-            program_from_cache=self.cache_hit,
-            incremental=run_incremental,
-            maintained=run_maintain,
-            maintain_fallback=fallback,
+            retain_allocation_sites=warm and self.optimizations.buffer_reuse,
         )
 
-    def _run_sharded(
-        self,
-        database: Database,
-        *,
-        apm: ApmProgram,
-        feedback: PlanFeedback | None = None,
-        incremental: bool | None,
-        maintain: bool | None = None,
-        reset_profile: bool,
-        jit_recorder: TraceRecorder | None = None,
-        jit_state: JitRunState | None = None,
-        tracer=NULL_TRACER,
-        run_span=None,
-    ) -> ExecutionResult:
-        """Execute across the shard pool via the sharded executor.
-
-        Warm databases rerun from scratch (a transparent
-        :meth:`Database.rebuild`); explicitly requesting the delta-seeded
-        path is an error, matching :meth:`supports_incremental`.
-        Staged retractions take the documented fallback — they are
-        applied to the fact log and the query reruns cold across the
-        shards — rather than routing doom frontiers through the
-        exchange path; demanding the in-place pass raises, matching
-        :meth:`supports_maintain`.
-        """
-        from ..dist.executor import ShardedExecutor
-
-        if incremental:
-            raise LobsterError(
-                "sharded engines rerun from scratch; delta-seeded "
-                "incremental evaluation requires shards=1"
-            )
-        fallback: str | None = None
-        if database.has_pending_retractions:
-            if maintain:
-                raise RetractionUnsupportedError(self.supports_maintain(database)[1])
-            fallback = self.supports_maintain(database)[1]
-            database.rebuild()
-        elif maintain:
-            raise RetractionUnsupportedError(
-                "no retractions are staged; maintain=True only applies to "
-                "a database with pending retract_facts deltas"
-            )
-        if database.evaluated and database.has_pending_facts:
-            database.rebuild()
+    def _lanes(self, interpreter: ApmInterpreter | None):
+        """``(lanes, executor)`` for one run: the interpreters it executes
+        on — the caller's warm one, a fresh one on ``self.device``, or
+        the sharded executor's per-shard set — and that executor (None
+        on a single lane)."""
+        if interpreter is not None or not self._use_sharded():
+            return [interpreter or self._make_interpreter(self.device)], None
         if self._sharded_executor is None:
+            from ..dist.executor import ShardedExecutor
+
             self._sharded_executor = ShardedExecutor(
                 self.shard_devices,
                 enable_static_reuse=self.optimizations.static_indices,
@@ -939,68 +843,103 @@ class LobsterEngine:
                 max_iterations=self.max_iterations,
                 shard_map=self.shard_map,
             )
-        executor = self._sharded_executor
+        # The executor's own list: a mid-run reshard resizes it in place.
+        return self._sharded_executor.interpreters, self._sharded_executor
+
+    def _execute(
+        self,
+        apm: ApmProgram,
+        database: Database,
+        mode: str,
+        lanes: list[ApmInterpreter],
+        executor,
+        *,
+        reset_profile: bool,
+        feedback: PlanFeedback | None,
+        jit_recorder: TraceRecorder | None,
+        jit_state: JitRunState | None,
+        tracer,
+        run_span,
+    ) -> ExecutionResult:
+        """Run ``apm`` in the resolved ``mode`` over ``lanes`` (one per
+        device; ``executor`` drives them when there are several) and
+        account the run: per-lane profile deltas, merged counters, the
+        :class:`ExecutionResult`."""
         if reset_profile:
-            for shard_device in self.shard_devices:
-                shard_device.profile.reset()
-        befores = [d.profile.snapshot() for d in self.shard_devices]
-        iterations_before = executor.iterations_run
-        # Every shard shares the trace's stateless kernels (and the one
-        # run state, so executed/deopt counts aggregate across shards);
-        # a recording run needs a feedback attached for cardinalities.
+            for lane in lanes:
+                lane.device.profile.reset()
+        befores = [lane.device.profile.snapshot() for lane in lanes]
+        counter = executor if executor is not None else lanes[0]
+        iterations_before = counter.iterations_run
+        # A recording run without an adaptive feedback still needs one
+        # attached: the recorder's observed cardinalities come from it.
+        # (The sharded executor swaps in per-shard feedbacks it sums back.)
         run_feedback = feedback
         if run_feedback is None and jit_recorder is not None:
             run_feedback = jit_recorder.feedback
-        for interpreter in executor.interpreters:
-            interpreter.jit_recorder = jit_recorder
-            interpreter.jit_state = jit_state
-        if run_span is not None:
-            # One lane per shard: each shard's interior spans timestamp
-            # off its own device's busy clock, all anchored at the run
-            # span's start (shards execute concurrently in the model).
-            for shard, (interpreter, shard_device) in enumerate(
-                zip(executor.interpreters, self.shard_devices)
-            ):
-                shard_span = tracer.start(
-                    "shard", parent=run_span, track=f"shard{shard}", shard=shard
-                )
-                interpreter.tracer = tracer
-                interpreter.trace_clock = tracer.device_clock(shard_device)
-                interpreter.trace_parent = shard_span
+        for shard, lane in enumerate(lanes):
+            # Lanes share the trace's stateless kernels and the one run
+            # state, so executed/deopt counts aggregate across shards.
+            lane.feedback = run_feedback
+            lane.jit_recorder = jit_recorder
+            lane.jit_state = jit_state
+            if run_span is not None:
+                # Interior spans (strata, iterations, variants) timestamp
+                # themselves off the lane's device busy clock, anchored
+                # at the run span's start; shards execute concurrently
+                # in the model, each under its own "shard" lane span.
+                lane.tracer = tracer
+                lane.trace_parent = run_span
+                if executor is not None:
+                    lane.trace_parent = tracer.start(
+                        "shard", parent=run_span, track=f"shard{shard}", shard=shard
+                    )
+                lane.trace_clock = tracer.device_clock(lane.device)
         start = time.perf_counter()
         try:
-            executor.run(apm, database, feedback=run_feedback)
+            if executor is not None:
+                executor.run(apm, database, feedback=run_feedback)
+            elif mode == "maintain":
+                lanes[0].maintain(apm, database)
+            else:
+                lanes[0].run(apm, database, incremental=mode == "incremental")
+        except BaseException as error:
+            if run_span is not None:
+                # A failed run closes its span at the busiest lane's clock.
+                end = max(lane.trace_clock() for lane in lanes)
+                run_span.attrs["error"] = type(error).__name__
+                tracer.finish(run_span, end)
+                tracer.set_time(end)
+            raise
         finally:
-            for interpreter in executor.interpreters:
-                if interpreter.trace_parent is not None:
-                    tracer.finish(interpreter.trace_parent, interpreter.trace_clock())
-                interpreter.jit_recorder = None
-                interpreter.jit_state = None
-                interpreter.tracer = NULL_TRACER
-                interpreter.trace_clock = None
-                interpreter.trace_parent = None
+            for lane in lanes:
+                if executor is not None and lane.trace_parent is not None:
+                    tracer.finish(lane.trace_parent, lane.trace_clock())
+                lane.feedback = lane.jit_recorder = lane.jit_state = None
+                lane.tracer = NULL_TRACER
+                lane.trace_clock = lane.trace_parent = None
         wall = time.perf_counter() - start
         database.evaluated = True
-        shard_profiles = [
-            d.profile.since(b) for d, b in zip(self.shard_devices, befores)
-        ]
-        merged = DeviceProfile.merge(shard_profiles)
+        # The result always carries its own per-run counter copies — the
+        # live device profiles are reset by the next run on this engine.
+        profiles = [lane.device.profile.since(b) for lane, b in zip(lanes, befores)]
+        profile = profiles[0] if executor is None else DeviceProfile.merge(profiles)
         overhead = (
-            merged.transfer_seconds
-            + merged.exchange_seconds
-            + (0.0 if self.optimizations.buffer_reuse else merged.alloc_seconds)
+            profile.transfer_seconds
+            + profile.exchange_seconds
+            + (0.0 if self.optimizations.buffer_reuse else profile.alloc_seconds)
         )
         return ExecutionResult(
             wall,
             overhead,
-            executor.iterations_run - iterations_before,
-            merged,
+            counter.iterations_run - iterations_before,
+            profile,
             compile_seconds=self.compile_seconds,
             program_from_cache=self.cache_hit,
-            incremental=False,
-            maintain_fallback=fallback,
-            shards=self.shards,
-            shard_profiles=shard_profiles,
+            incremental=mode == "incremental",
+            maintained=mode == "maintain",
+            shards=self.shards if executor is not None else 1,
+            shard_profiles=profiles if executor is not None else None,
         )
 
     # ------------------------------------------------------------------

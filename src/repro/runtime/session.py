@@ -170,31 +170,18 @@ class LobsterSession:
         # per-session one, so sessions sharing an engine/pool are safe.
         self._run_lock = pool._drain_lock if pool else engine._drain_lock
 
-        def make_interpreter(device) -> ApmInterpreter:
-            # One interpreter per device for the whole session:
-            # allocation sites stay warm across queries (buffer reuse
-            # across the batch); data-dependent state (static hash
-            # indices) still resets per stratum.
-            return ApmInterpreter(
-                device,
-                enable_static_reuse=engine.optimizations.static_indices,
-                enable_buffer_reuse=engine.optimizations.buffer_reuse,
-                enable_stratum_scheduling=engine.optimizations.stratum_scheduling,
-                max_iterations=engine.max_iterations,
-                retain_allocation_sites=engine.optimizations.buffer_reuse,
-            )
-
-        # Only the interpreters a drain can actually use are built: pool
-        # sessions never touch the engine device, and sharded engines
-        # bring their own per-shard interpreters.
-        self._interpreter = (
-            make_interpreter(engine.device)
-            if pool is None and not engine._use_sharded()
-            else None
-        )
-        self._pool_interpreters = (
-            [make_interpreter(device) for device in pool.devices] if pool else []
-        )
+        # One warm interpreter (*lane*) per device for the whole session:
+        # allocation sites stay warm across queries (buffer reuse across
+        # the batch); data-dependent state (static hash indices) still
+        # resets per stratum.  A sharded engine brings its own per-shard
+        # lanes, so the session holds none.
+        if engine._use_sharded():
+            devices = []
+        else:
+            devices = pool.devices if pool else [engine.device]
+        self._interpreters = [
+            engine._make_interpreter(device, warm=True) for device in devices
+        ]
 
     # ------------------------------------------------------------------
 
@@ -263,39 +250,64 @@ class LobsterSession:
         :meth:`LobsterEngine.run` would.
         """
         with self._run_lock:
-            # A sharded engine is its own scaling axis: every query runs
-            # through the shard pool (no warm session interpreter there —
-            # the sharded executor keeps its own per-shard interpreters).
-            sharded = self.engine._use_sharded()
-            if self.pool is not None:
-                devices = [itp.device for itp in self._pool_interpreters]
-            elif sharded:
-                devices = self.engine.shard_devices
+            engine = self.engine
+            # The live engine decides, as in _lane: it may have been
+            # resharded since this session built its lanes.
+            if engine._use_sharded():
+                devices = engine.shard_devices
             else:
-                devices = [self.engine.device]
+                devices = [lane.device for lane in self._interpreters] or [
+                    engine.device
+                ]
             for device in devices:
                 device.profile.reset()
             befores = [device.profile.snapshot() for device in devices]
             report = SessionReport(
-                compile_seconds=self.engine.compile_seconds,
-                program_from_cache=self.engine.cache_hit,
+                compile_seconds=engine.compile_seconds,
+                program_from_cache=engine.cache_hit,
                 pool_size=len(devices),
             )
             for query in self.pending:
-                if sharded:
-                    interpreter = None
-                elif self.pool is not None:
-                    index, _ = self.pool.acquire()
-                    interpreter = self._pool_interpreters[index]
-                else:
-                    interpreter = self._interpreter
-                report.results.append(self._execute(query, interpreter))
+                report.results.append(self._execute(query, self._lane(None)))
             report.device_profiles = [
                 device.profile.since(before)
                 for device, before in zip(devices, befores)
             ]
             report.profile = DeviceProfile.merge(report.device_profiles)
             return report
+
+    def _lane(self, device_index: int | None) -> ApmInterpreter | None:
+        """The warm interpreter a query runs on: the pool device at
+        ``device_index`` (``None`` acquires one), or the engine device's.
+        ``None`` leaves the lanes to the engine — a sharded engine splits
+        every query across its own per-shard set.  The *live* engine is
+        asked first: ``reshard`` may have grown it past one device since
+        the session was built."""
+        if self.engine._use_sharded():
+            if device_index is not None:
+                raise LobsterError(
+                    "a sharded engine runs every query across its own "
+                    "shard pool; device_index only applies to "
+                    "DevicePool sessions"
+                )
+            return None
+        if self.pool is not None:
+            if device_index is None:
+                device_index, _ = self.pool.acquire()
+            elif not 0 <= device_index < len(self.pool):
+                raise LobsterError(
+                    f"device_index {device_index} out of range for a "
+                    f"{len(self.pool)}-device pool"
+                )
+            return self._interpreters[device_index]
+        if device_index not in (None, 0):
+            raise LobsterError(
+                "this session has no DevicePool; only "
+                "device_index=None (or 0) is valid"
+            )
+        # (No lane either when the engine was sharded at construction and
+        # has since been resharded down to one device.)
+        return self._interpreters[0] if self._interpreters else None
 
     def run_batch(
         self,
@@ -335,30 +347,7 @@ class LobsterSession:
         if not databases:
             return []
         with self._run_lock:
-            if self.engine._use_sharded():
-                if device_index is not None:
-                    raise LobsterError(
-                        "a sharded engine runs every query across its own "
-                        "shard pool; device_index only applies to "
-                        "DevicePool sessions"
-                    )
-                interpreter = None
-            elif self.pool is not None:
-                if device_index is None:
-                    device_index, _ = self.pool.acquire()
-                elif not 0 <= device_index < len(self.pool):
-                    raise LobsterError(
-                        f"device_index {device_index} out of range for a "
-                        f"{len(self.pool)}-device pool"
-                    )
-                interpreter = self._pool_interpreters[device_index]
-            else:
-                if device_index not in (None, 0):
-                    raise LobsterError(
-                        "this session has no DevicePool; only "
-                        "device_index=None (or 0) is valid"
-                    )
-                interpreter = self._interpreter
+            interpreter = self._lane(device_index)
             if retain:
                 queries = [
                     self._query(self.submit(database))
@@ -380,22 +369,15 @@ class LobsterSession:
         span_parent=None,
     ) -> ExecutionResult:
         """Run one query on ``interpreter`` (``None`` = the engine's own
-        path, used for sharded engines), recording metrics if a registry
-        is attached.  Caller holds the drain lock."""
-        kwargs = {}
-        if self.tracer is not None:
-            kwargs["tracer"] = self.tracer
-        if span_parent is not None:
-            kwargs["span_parent"] = span_parent
-        if interpreter is None:
-            result = self.engine.run(query.database, reset_profile=False, **kwargs)
-        else:
-            result = self.engine.run(
-                query.database,
-                reset_profile=False,
-                _interpreter=interpreter,
-                **kwargs,
-            )
+        lanes), recording metrics if a registry is attached.  Caller
+        holds the drain lock."""
+        result = self.engine.run(
+            query.database,
+            reset_profile=False,
+            _interpreter=interpreter,
+            tracer=self.tracer,
+            span_parent=span_parent,
+        )
         query.result = result
         if self.metrics is not None:
             self.metrics.counter("session.queries").inc()

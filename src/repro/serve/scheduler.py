@@ -298,65 +298,74 @@ class Scheduler:
         self._elastic_free_at = 0.0
         queue = RequestQueue(self.classes)
         self._queue = queue
-        run_outcomes: list[Outcome] = []
         stream_start = arrivals[0].arrival_s if arrivals else 0.0
         now = stream_start
         cursor = 0
 
-        while True:
-            # 1. Admit every arrival at or before the current clock.
-            while cursor < len(arrivals) and arrivals[cursor].arrival_s <= now:
-                self._admit(arrivals[cursor], now, queue, free_at, run_outcomes)
-                cursor += 1
-
-            # 2. Dispatch while a group is ready and its executor — a
-            # free pool device, or the elastic engine's shard set — is
-            # available.
+        try:
             while True:
-                ready = queue.ready_groups(now)
-                if not ready:
-                    break
-                free = [i for i, t in enumerate(free_at) if t <= now]
-                progressed = False
-                for group in ready:
-                    if self._is_elastic_group(group):
-                        if self._elastic_free_at <= now:
-                            self._dispatch_elastic(group, now, queue, run_outcomes)
+                # 1. Admit every arrival at or before the current clock.
+                while cursor < len(arrivals) and arrivals[cursor].arrival_s <= now:
+                    self._admit(arrivals[cursor], now, queue, free_at)
+                    cursor += 1
+
+                # 2. Dispatch while a group is ready and its executor — a
+                # free pool device, or the elastic engine's shard set — is
+                # available.
+                while True:
+                    ready = queue.ready_groups(now)
+                    if not ready:
+                        break
+                    free = [i for i, t in enumerate(free_at) if t <= now]
+                    progressed = False
+                    for group in ready:
+                        if self._is_elastic_group(group):
+                            executor_free = self._elastic_free_at <= now
+                        else:
+                            executor_free = bool(free)
+                        if executor_free:
+                            self._dispatch(group, now, queue, free_at, free)
                             progressed = True
                             break
-                    elif free:
-                        self._dispatch(group, now, queue, free_at, free, run_outcomes)
-                        progressed = True
+                    if not progressed:
                         break
-                if not progressed:
+
+                # 3. Advance the clock to the next event.
+                candidates: list[float] = []
+                if cursor < len(arrivals):
+                    candidates.append(arrivals[cursor].arrival_s)
+                if queue.total_depth:
+                    ready_time = queue.next_ready_time()
+                    if ready_time is not None and ready_time > now:
+                        candidates.append(ready_time)
+                    else:
+                        # A group is ready but its executor is busy: wake
+                        # when a pool device — or the elastic shard set —
+                        # next frees up.
+                        waits = [t for t in free_at if t > now]
+                        if self._elastic_free_at > now:
+                            waits.append(self._elastic_free_at)
+                        candidates.append(min(waits))
+                if not candidates:
                     break
+                now = min(candidates)
+        except BaseException as error:
+            # A failing request must not wedge the scheduler or lose its
+            # neighbours: every request of this drain still without an
+            # outcome is shed explicitly before the error surfaces.
+            reason = f"aborted: drain failed ({type(error).__name__}: {error})"
+            for request in arrivals:
+                if request.ticket not in self.outcomes:
+                    self._shed(request, now, reason)
+            raise
+        finally:
+            self._queue = None
 
-            # 3. Advance the clock to the next event.
-            candidates: list[float] = []
-            if cursor < len(arrivals):
-                candidates.append(arrivals[cursor].arrival_s)
-            if queue.total_depth:
-                ready_time = queue.next_ready_time()
-                if ready_time is not None and ready_time > now:
-                    candidates.append(ready_time)
-                else:
-                    # A group is ready but its executor is busy: wake
-                    # when a pool device — or the elastic shard set —
-                    # next frees up.
-                    waits = [t for t in free_at if t > now]
-                    if self._elastic_free_at > now:
-                        waits.append(self._elastic_free_at)
-                    candidates.append(min(waits))
-            if not candidates:
-                break
-            now = min(candidates)
-
-        self._queue = None
         makespan = max(free_at) if free_at else 0.0
         makespan = max(makespan, self._elastic_free_at)
         self._export_device_metrics()
         report = ServeReport(
-            outcomes=sorted(run_outcomes, key=lambda o: o.ticket),
+            outcomes=sorted(self.outcomes.values(), key=lambda o: o.ticket),
             metrics=self.metrics,
             makespan_s=makespan,
             pool_size=len(self.pool),
@@ -375,12 +384,7 @@ class Scheduler:
     # ------------------------------------------------------------------
 
     def _admit(
-        self,
-        request: Request,
-        now: float,
-        queue: RequestQueue,
-        free_at: list[float],
-        run_outcomes: list[Outcome],
+        self, request: Request, now: float, queue: RequestQueue, free_at: list[float]
     ) -> None:
         reason = self.admission.decide(
             request, now=now, queue=queue, free_at=free_at
@@ -415,7 +419,7 @@ class Scheduler:
                 reason=reason,
                 meta=request.meta,
             )
-            self._record(outcome, run_outcomes)
+            self._record(outcome)
             if span is not None:
                 span.attrs["status"] = REJECTED
                 tracer.finish(span, now)
@@ -436,11 +440,7 @@ class Scheduler:
         )
 
     def _fill_batch(
-        self,
-        group: BatchGroup,
-        now: float,
-        queue: RequestQueue,
-        run_outcomes: list[Outcome],
+        self, group: BatchGroup, now: float, queue: RequestQueue
     ) -> list[Request]:
         """Pop up to a batch from ``group``, shedding deadline-expired
         requests: under overload the head of a group is exactly where
@@ -452,32 +452,37 @@ class Scheduler:
             request = queue.pop_batch(group, 1)[0]
             if now > request.deadline_at(slo_class):
                 expired_ms = (now - request.deadline_at(slo_class)) * 1e3
-                outcome = Outcome(
-                    ticket=request.ticket,
-                    status=SHED,
-                    slo=request.slo,
-                    arrival_s=request.arrival_s,
-                    reason=(
-                        f"deadline expired {expired_ms:.3f}ms before "
-                        "service (queued past the SLO)"
-                    ),
-                    meta=request.meta,
+                self._shed(
+                    request,
+                    now,
+                    f"deadline expired {expired_ms:.3f}ms before service "
+                    "(queued past the SLO)",
                 )
-                self._record(outcome, run_outcomes)
-                span = self._request_spans.pop(request.ticket, None)
-                if span is not None:
-                    wait = self.tracer.start(
-                        "queue.wait", t=request.arrival_s, parent=span
-                    )
-                    self.tracer.finish(wait, now)
-                    span.attrs["status"] = SHED
-                    self.tracer.finish(span, now)
                 continue
             batch.append(request)
         self.metrics.gauge(f"serve.queue_depth.{group.slo}").set(
             queue.depth(group.slo)
         )
         return batch
+
+    def _shed(self, request: Request, now: float, reason: str) -> None:
+        """Record an explicit ``shed`` outcome for ``request`` at ``now``
+        and close its request span (all of its latency was waiting)."""
+        outcome = Outcome(
+            ticket=request.ticket,
+            status=SHED,
+            slo=request.slo,
+            arrival_s=request.arrival_s,
+            reason=reason,
+            meta=request.meta,
+        )
+        self._record(outcome)
+        span = self._request_spans.pop(request.ticket, None)
+        if span is not None:
+            wait = self.tracer.start("queue.wait", t=request.arrival_s, parent=span)
+            self.tracer.finish(wait, now)
+            span.attrs["status"] = SHED
+            self.tracer.finish(span, now)
 
     def _dispatch(
         self,
@@ -486,41 +491,58 @@ class Scheduler:
         queue: RequestQueue,
         free_at: list[float],
         free_devices: list[int],
-        run_outcomes: list[Outcome],
     ) -> None:
-        batch = self._fill_batch(group, now, queue, run_outcomes)
+        """Run one micro-batch of ``group`` and fan its outcomes out.
+
+        A pool batch takes the least-loaded free device and holds it
+        until the batch drains.  An *elastic* batch takes no pool slot:
+        the managed engine runs on its own shard set, serialized on the
+        controller's private busy horizon (``service_seconds`` is the
+        busiest shard's modeled time); afterwards the controller observes
+        the served databases and may migrate the shard layout, and the
+        priced migration seconds extend the horizon — a reshard delays
+        the next micro-batch exactly as the shuffle it models would."""
+        batch = self._fill_batch(group, now, queue)
         if not batch:
             return
-
-        device_index, _ = self.pool.acquire(
-            policy="least-loaded", eligible=free_devices
-        )
+        elastic = self._is_elastic_engine(batch[0].engine)
+        if elastic:
+            device_index = None
+            track, where = "elastic", {"shards": batch[0].engine.shards}
+        else:
+            device_index, _ = self.pool.acquire(
+                policy="least-loaded", eligible=free_devices
+            )
+            track, where = f"device{device_index}", {"device": device_index}
         session = self._session_for(batch[0])
+        databases = [request.database for request in batch]
         tracer = self.tracer
         batch_span = None
         if tracer.enabled and any(
             request.ticket in self._request_spans for request in batch
         ):
-            # The batch occupies the device [now, now + sum(services)];
-            # engine-run spans nest under it on the device's lane.  The
+            # The batch occupies its executor [now, now + sum(services)];
+            # engine-run spans nest under it on the executor's lane.  The
             # cursor is pinned to the dispatch time so those run spans
             # anchor exactly where the outcome fan-out puts them.
             batch_span = tracer.start(
                 "serve.batch",
                 t=now,
-                track=f"device{device_index}",
-                device=device_index,
+                track=track,
                 slo=group.slo,
                 size=len(batch),
+                **where,
             )
             tracer.set_time(now)
-            results = session.run_batch(
-                [request.database for request in batch],
-                device_index=device_index,
-                retain=False,
-                span_parent=batch_span,
-            )
-            tracer.finish(batch_span, tracer.now)
+            try:
+                results = session.run_batch(
+                    databases,
+                    device_index=device_index,
+                    retain=False,
+                    span_parent=batch_span,
+                )
+            finally:
+                tracer.finish(batch_span, tracer.now)
         else:
             # retain=False: outcomes own the results; the long-lived
             # session must not grow a bookkeeping record per request.
@@ -528,9 +550,7 @@ class Scheduler:
             # engine-level tracer does not emit orphan run spans.
             with tracer.muted():
                 results = session.run_batch(
-                    [request.database for request in batch],
-                    device_index=device_index,
-                    retain=False,
+                    databases, device_index=device_index, retain=False
                 )
         start = now
         elapsed = 0.0
@@ -551,7 +571,7 @@ class Scheduler:
                 result=result,
                 meta=request.meta,
             )
-            self._record(outcome, run_outcomes)
+            self._record(outcome)
             self.admission.estimator.observe(request.program_key, service)
             span = self._request_spans.pop(request.ticket, None)
             if span is not None:
@@ -565,119 +585,36 @@ class Scheduler:
                     "serve.execute",
                     t=finish - service,
                     parent=span,
-                    device=device_index,
                     batch_size=len(batch),
+                    **where,
                 )
-                if batch_span is not None:
+                # (Only pool batches link back; the elastic span set is pinned.)
+                if batch_span is not None and not elastic:
                     execute.attrs["batch_span"] = batch_span.span_id
                 tracer.finish(execute, finish)
                 span.attrs["status"] = COMPLETED
                 tracer.finish(span, finish)
-        free_at[device_index] = start + elapsed
-        self.metrics.counter("serve.batches").inc()
-        self.metrics.histogram("serve.batch_size", lo=1.0, growth=1.25).observe(
-            len(batch)
-        )
-
-    def _dispatch_elastic(
-        self,
-        group: BatchGroup,
-        now: float,
-        queue: RequestQueue,
-        run_outcomes: list[Outcome],
-    ) -> None:
-        """Dispatch a batch onto the elastic engine's shard set.
-
-        The engine occupies no pool slot: its batches serialize on the
-        controller's private busy horizon, and ``service_seconds`` is
-        the busiest shard's modeled time.  After the batch the
-        controller observes the served database and may migrate the
-        shard layout; the priced migration seconds extend the horizon,
-        so a reshard delays the next micro-batch exactly as the shuffle
-        it models would."""
-        batch = self._fill_batch(group, now, queue, run_outcomes)
-        if not batch:
-            return
-        session = self._session_for(batch[0])
-        tracer = self.tracer
-        batch_span = None
-        if tracer.enabled and any(
-            request.ticket in self._request_spans for request in batch
-        ):
-            batch_span = tracer.start(
-                "serve.batch",
-                t=now,
-                track="elastic",
-                slo=group.slo,
-                size=len(batch),
-                shards=batch[0].engine.shards,
-            )
-            tracer.set_time(now)
-            results = session.run_batch(
-                [request.database for request in batch],
-                retain=False,
-                span_parent=batch_span,
-            )
-            tracer.finish(batch_span, tracer.now)
-        else:
-            with tracer.muted():
-                results = session.run_batch(
-                    [request.database for request in batch], retain=False
-                )
-        start = now
-        elapsed = 0.0
-        for request, result in zip(batch, results):
-            service = result.service_seconds
-            elapsed += service
-            finish = start + elapsed
-            outcome = Outcome(
-                ticket=request.ticket,
-                status=COMPLETED,
-                slo=request.slo,
-                arrival_s=request.arrival_s,
-                start_s=start,
-                finish_s=finish,
-                service_s=service,
-                batch_size=len(batch),
-                result=result,
-                meta=request.meta,
-            )
-            self._record(outcome, run_outcomes)
-            self.admission.estimator.observe(request.program_key, service)
-            span = self._request_spans.pop(request.ticket, None)
-            if span is not None:
-                wait = tracer.start("queue.wait", t=request.arrival_s, parent=span)
-                tracer.finish(wait, start)
-                turn = tracer.start("batch.wait", t=start, parent=span)
-                tracer.finish(turn, finish - service)
-                execute = tracer.start(
-                    "serve.execute",
-                    t=finish - service,
-                    parent=span,
-                    batch_size=len(batch),
-                    shards=request.engine.shards,
-                )
-                tracer.finish(execute, finish)
-                span.attrs["status"] = COMPLETED
-                tracer.finish(span, finish)
-            self.elastic.observe(request.database, result)
         horizon = start + elapsed
-        plan = self.elastic.maybe_reshard(horizon)
-        if plan is not None and plan.migrate:
-            horizon += plan.migration_s
-        self._elastic_free_at = horizon
+        if elastic:
+            for request, result in zip(batch, results):
+                self.elastic.observe(request.database, result)
+            plan = self.elastic.maybe_reshard(horizon)
+            if plan is not None and plan.migrate:
+                horizon += plan.migration_s
+            self._elastic_free_at = horizon
+        else:
+            free_at[device_index] = horizon
         self.metrics.counter("serve.batches").inc()
         self.metrics.histogram("serve.batch_size", lo=1.0, growth=1.25).observe(
             len(batch)
         )
 
-    def _record(self, outcome: Outcome, run_outcomes: list[Outcome]) -> None:
+    def _record(self, outcome: Outcome) -> None:
         if outcome.ticket in self.outcomes:
             raise LobsterError(
                 f"duplicate outcome for ticket {outcome.ticket}"
             )
         self.outcomes[outcome.ticket] = outcome
-        run_outcomes.append(outcome)
         self.metrics.counter(f"serve.{outcome.status}.{outcome.slo}").inc()
         if outcome.status == COMPLETED:
             self.metrics.histogram(f"serve.latency_s.{outcome.slo}").observe(

@@ -251,3 +251,53 @@ class TestEngineApi:
         engine.run(db2)
         assert db1.result("p").rows() == [(1,)]
         assert db2.result("p").rows() == [(2,)]
+
+
+class TestConstructorErrorsAreTyped:
+    """LobsterEngine forwards unknown keywords to the semiring, so a
+    misspelt engine option and an unknown semiring both used to surface
+    as bare TypeError / KeyError; both are LobsterErrors now."""
+
+    SOURCE = "rel p(x) :- q(x)."
+
+    def test_misspelt_engine_keyword(self):
+        from repro.errors import ProvenanceError
+
+        with pytest.raises(ProvenanceError, match="jitt") as raised:
+            LobsterEngine(self.SOURCE, jitt=True)
+        assert "'unit'" in str(raised.value)
+
+    def test_unknown_semiring_keyword_names_the_accepted_ones(self):
+        from repro.errors import ProvenanceError
+
+        with pytest.raises(ProvenanceError, match="it accepts: k, proof_capacity"):
+            LobsterEngine(self.SOURCE, provenance="top-k-proofs-device", kk=3)
+
+    def test_keywords_with_a_provenance_instance(self):
+        from repro.errors import ProvenanceError
+        from repro.provenance.unit import UnitProvenance
+
+        with pytest.raises(ProvenanceError, match="jitt"):
+            LobsterEngine(self.SOURCE, provenance=UnitProvenance(), jitt=True)
+
+    def test_unknown_semiring_name(self):
+        from repro.errors import ProvenanceError
+
+        with pytest.raises(ProvenanceError, match="known: .*minmaxprob") as raised:
+            LobsterEngine(self.SOURCE, provenance="nope")
+        assert isinstance(raised.value, LobsterError)
+        assert isinstance(raised.value, KeyError)  # what lookups raised before
+        assert str(raised.value).startswith("unknown provenance 'nope'")
+
+    def test_type_error_inside_a_semiring_constructor_is_not_masked(self):
+        from repro.provenance import registry
+
+        def broken(k=1):
+            raise TypeError("from inside")
+
+        registry.register("broken-for-test", broken)
+        try:
+            with pytest.raises(TypeError, match="from inside"):
+                registry.create("broken-for-test", k=2)
+        finally:
+            del registry._REGISTRY["broken-for-test"]

@@ -617,3 +617,67 @@ class TestPriorities:
         )
         batch_start = min(o.start_s for o in report.outcomes if o.slo == "batch")
         assert interactive_finish <= batch_start
+
+
+class TestFailingRequest:
+    """A request whose run raises must neither wedge the scheduler nor
+    lose its neighbours: the error surfaces typed, every ticket of the
+    drain still ends in exactly one outcome, and the next drain is
+    served normally."""
+
+    CHAIN = [(n, n + 1) for n in range(8)]
+
+    def _request(self, engine, arrival_s, edges):
+        db = engine.create_database()
+        db.add_facts("edge", edges, probs=[0.9] * len(edges))
+        return Request(engine, db, arrival_s=arrival_s)
+
+    @pytest.mark.parametrize("failure", ["iteration-cap", "device-oom"])
+    def test_drain_failure_sheds_the_rest_and_recovers(self, engine, failure):
+        from repro import ExecutionError, Tracer, VirtualDevice
+
+        if failure == "iteration-cap":
+            pool = DevicePool(1)
+            failing = LobsterEngine(
+                TRANSITIVE_CLOSURE, provenance="minmaxprob", max_iterations=2
+            )
+        else:
+            pool = DevicePool(devices=[VirtualDevice(capacity_bytes=4096)])
+            failing = engine
+        tracer = Tracer()
+        # Arrivals further apart than the batching window: three batches.
+        scheduler = Scheduler(pool, classes=tight_classes(), tracer=tracer)
+        big = self.CHAIN if failure == "iteration-cap" else [
+            (a, b) for a in range(40) for b in range(40) if a != b
+        ]
+        requests = [
+            self._request(engine, 0.0, [(0, 1)]),
+            self._request(failing, 1e-2, big),
+            self._request(engine, 2e-2, [(1, 2)]),
+        ]
+        with pytest.raises(LobsterError) as raised:
+            scheduler.run(requests)
+        assert isinstance(raised.value, ExecutionError)
+
+        tickets = [request.ticket for request in requests]
+        assert sorted(scheduler.outcomes) == sorted(tickets)
+        good, bad, late = (scheduler.outcomes[t] for t in tickets)
+        assert good.status == COMPLETED
+        for outcome in (bad, late):
+            assert outcome.status == SHED
+            assert outcome.reason.startswith("aborted: drain failed (")
+            assert type(raised.value).__name__ in outcome.reason
+        assert scheduler.backpressure == 0.0  # no queue left behind
+        # (An OOM mid-variant leaves the interpreter's own iteration /
+        # variant spans open; everything from engine.run up is closed.)
+        assert not [
+            s.name
+            for s in tracer.spans
+            if s.end_s is None and s.name not in ("iteration", "variant")
+        ]
+
+        # The same scheduler serves the next drain normally — including
+        # the request that never arrived in the failed one.
+        report = scheduler.run([self._request(engine, 0.0, [(1, 2)])])
+        assert report.submitted == report.completed == 1
+        assert report.rejected == report.shed == 0
