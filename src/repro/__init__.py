@@ -27,11 +27,6 @@ Public API highlights:
   content-addressed compile-once cache behind every engine construction,
   keyed on (program, stats-bucket) so each observed data shape gets its
   own cost-based plan.
-* :mod:`repro.jit` — the trace-JIT (``LobsterEngine(jit=True)``): hot
-  programs have their APM instruction trace recorded, cut into fusible
-  regions, and compiled into fused vectorized kernels cached next to the
-  plan; guards deopt to the interpreter on drift, and results stay
-  bitwise-identical to interpreted execution.
 * :mod:`repro.stats` — live relation statistics (KMV distinct + count-min
   frequency sketches), the cardinality estimator and exchange-aware cost
   model behind the planner, and the plan-feedback loop that re-optimizes
@@ -57,7 +52,6 @@ from .errors import (
     DeviceOutOfMemory,
     EvaluationTimeout,
     ExecutionError,
-    JitUnsupportedError,
     LobsterError,
     ParseError,
     ResolutionError,
@@ -66,7 +60,6 @@ from .errors import (
     StaleViewError,
     StratificationError,
     TicketNotRunError,
-    TraceGuardError,
     UnknownTicketError,
 )
 from .dist import (
@@ -77,7 +70,6 @@ from .dist import (
     ShardMap,
     ShardedExecutor,
 )
-from .jit import JitConfig
 from .gpu.device import DeviceProfile, VirtualDevice
 from .runtime.cache import (
     CompiledProgram,
@@ -152,8 +144,6 @@ __all__ = [
     "EvaluationTimeout",
     "ExecutionError",
     "ExecutionResult",
-    "JitConfig",
-    "JitUnsupportedError",
     "LobsterEngine",
     "LobsterError",
     "LobsterSession",
@@ -183,7 +173,6 @@ __all__ = [
     "Subscription",
     "TickDelta",
     "TicketNotRunError",
-    "TraceGuardError",
     "Tracer",
     "TumblingWindow",
     "UnknownTicketError",

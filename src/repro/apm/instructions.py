@@ -175,20 +175,6 @@ class PassIfEmpty:
     guard_tags: str
 
 
-#: Trace-JIT region metadata (see :mod:`repro.jit.regions`).  *Eager*
-#: instructions begin a new fused segment: their outputs are consumed at
-#: data-dependent positions (hash lookups, match enumeration), so a fused
-#: pipeline cannot stream through them row-for-row.  *Fusible*
-#: instructions are pure row-parallel dataflow — the fusion compiler
-#: pipelines them into the enclosing segment so their intermediates never
-#: materialize.  *Unsupported* instructions (stratified negation's probe
-#: and the width-0 negation guard) have no fused translation; variants
-#: containing them always execute through the interpreter.
-EAGER = (Load, Build, Probe, CrossIndices)
-FUSIBLE = (EvalProject, EvalFilter, Gather, GatherTags, CopyTags, StoreDelta)
-JIT_UNSUPPORTED = (AntiProbe, PassIfEmpty)
-
-
 Instruction = (
     Load
     | StoreDelta

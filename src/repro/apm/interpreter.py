@@ -30,7 +30,7 @@ import numpy as np
 from . import instructions as I
 from .compiler import ApmProgram, CompiledStratum, Variant
 from .schedule import cached_plan
-from ..errors import DeviceOutOfMemory, ExecutionError, TraceGuardError
+from ..errors import DeviceOutOfMemory, ExecutionError
 from ..gpu import bytecode
 from ..obs import NULL_TRACER
 from ..gpu.device import ALLOC_LATENCY_S, VirtualDevice
@@ -84,13 +84,6 @@ class ApmInterpreter:
         #: selection survivors, and per-rule delta outputs — the actuals
         #: the adaptive planner compares against its estimates.
         self.feedback = None
-        #: Trace-JIT attachments (set by the engine around a run).  With
-        #: a recorder, executed variants report themselves — the recorded
-        #: trace.  With a run state, variants with a compiled fused
-        #: kernel dispatch to it instead of the interpreted loop below,
-        #: deopting back here when a guard fails.
-        self.jit_recorder = None
-        self.jit_state = None
         #: Tracing attachments (set by the engine around a run): the
         #: tracer, a clock mapping this device's busy seconds onto the
         #: modeled timeline, and the span new spans nest under.  The
@@ -120,13 +113,9 @@ class ApmInterpreter:
             span = self._start_stratum_span(index, stratum)
             self._charge_transfers(transfers.get(index, ()), database, to_device=True)
             self.begin_stratum()
-            try:
-                self._run_stratum(stratum, database, program, incremental)
-                self._charge_transfers(
-                    transfers.get(index, ()), database, to_device=False
-                )
-            finally:
-                self._finish_stratum_span(span)
+            self._run_stratum(stratum, database, program, incremental)
+            self._charge_transfers(transfers.get(index, ()), database, to_device=False)
+            self._finish_stratum_span(span)
 
     def maintain(self, program: ApmProgram, database: Database) -> None:
         """DRed-style maintenance: keep ``database``'s fix point correct
@@ -171,10 +160,8 @@ class ApmInterpreter:
             )
             opened = (span, self.trace_parent)
             self.trace_parent = span
-        try:
-            doomed = self._over_delete(program, database, seeds)
-        finally:
-            self._finish_stratum_span(opened)
+        doomed = self._over_delete(program, database, seeds)
+        self._finish_stratum_span(opened)
         affected = set(seeds)
         affected.update(name for name, mask in doomed.items() if mask.any())
         database.begin_delta_tracking()
@@ -193,26 +180,20 @@ class ApmInterpreter:
             span = self._start_stratum_span(index, stratum)
             self._charge_transfers(transfers.get(index, ()), database, to_device=True)
             self.begin_stratum()
-            try:
-                rederive_opened = None
-                if self.tracer.enabled and self.trace_parent is not None:
-                    rederive_span = self.tracer.start(
-                        "maintain.rederive",
-                        t=self.trace_clock(),
-                        parent=self.trace_parent,
-                    )
-                    rederive_opened = (rederive_span, self.trace_parent)
-                    self.trace_parent = rederive_span
-                try:
-                    self._rederive(stratum, database, program, removed)
-                finally:
-                    self._finish_stratum_span(rederive_opened)
-                self._run_stratum(stratum, database, program, incremental=True)
-                self._charge_transfers(
-                    transfers.get(index, ()), database, to_device=False
+            rederive_opened = None
+            if self.tracer.enabled and self.trace_parent is not None:
+                rederive_span = self.tracer.start(
+                    "maintain.rederive",
+                    t=self.trace_clock(),
+                    parent=self.trace_parent,
                 )
-            finally:
-                self._finish_stratum_span(span)
+                rederive_opened = (rederive_span, self.trace_parent)
+                self.trace_parent = rederive_span
+            self._rederive(stratum, database, program, removed)
+            self._finish_stratum_span(rederive_opened)
+            self._run_stratum(stratum, database, program, incremental=True)
+            self._charge_transfers(transfers.get(index, ()), database, to_device=False)
+            self._finish_stratum_span(span)
             for predicate in stratum.predicates:
                 if database.relation(predicate).n_changed():
                     affected.add(predicate)
@@ -556,53 +537,12 @@ class ApmInterpreter:
         ``scans_of`` order."""
         tracer = self.tracer
         tracing = tracer.enabled and self.trace_parent is not None
-        if load_tables is None:
-            # Trace-JIT entry point.  Substituted-scan executions (the
-            # DRed re-derive step) always interpret: their inputs are not
-            # the database partitions the trace was specialized against.
-            if self.jit_recorder is not None:
-                self.jit_recorder.record_variant(variant, iteration)
-            state = self.jit_state
-            if state is not None:
-                kernel = state.kernels.get(id(variant))
-                if kernel is not None:
-                    start_s = self.trace_clock() if tracing else 0.0
-                    try:
-                        kernel.execute(self, database, deltas, iteration)
-                    except TraceGuardError as exc:
-                        # Guards fire before any side effect, so falling
-                        # through to the interpreted loop is clean.
-                        state.deopts.append(exc.reason)
-                        if tracing:
-                            tracer.event(
-                                "jit.deopt",
-                                t=self.trace_clock(),
-                                parent=self.trace_parent,
-                                reason=exc.reason,
-                                rule=variant.rule_key or "",
-                            )
-                    else:
-                        state.executed += 1
-                        if tracing:
-                            span = tracer.start(
-                                "variant",
-                                t=start_s,
-                                parent=self.trace_parent,
-                                kind="kernel",
-                                rule=variant.rule_key or "",
-                            )
-                            tracer.finish(span, self.trace_clock())
-                        return
         variant_span = None
         if tracing:
-            # The interpreted (or deopted-to-interpreter) execution of
-            # this variant; ``kind`` tells the two apart from fused
-            # kernel dispatches in the profile.
             variant_span = tracer.start(
                 "variant",
                 t=self.trace_clock(),
                 parent=self.trace_parent,
-                kind="interpreted",
                 rule=variant.rule_key or "",
             )
         kernel_trace = tracing and tracer.kernels

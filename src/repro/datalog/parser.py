@@ -22,6 +22,7 @@ from .lexer import Token, tokenize
 from ..errors import ParseError
 
 _COMPARISON_OPS = {"==", "!=", "<", "<=", ">", ">="}
+_INT64_MAX = 2**63 - 1
 
 
 class Parser:
@@ -243,7 +244,14 @@ class Parser:
         token = self.peek()
         if token.kind == "int":
             self.advance()
-            return ast.IntConst(int(token.value))
+            value = int(token.value)
+            if value > _INT64_MAX:
+                raise ParseError(
+                    f"integer literal {token.value} is outside the 64-bit range",
+                    token.line,
+                    token.column,
+                )
+            return ast.IntConst(value)
         if token.kind == "float":
             self.advance()
             return ast.FloatConst(float(token.value))

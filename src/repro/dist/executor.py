@@ -182,20 +182,18 @@ class ShardedExecutor:
                     interpreter._start_stratum_span(index, stratum)
                     for interpreter in openers
                 ]
-                try:
-                    for shard in range(self.n_shards):
-                        self.interpreters[shard]._charge_transfers(
-                            transfers.get(index, ()), self._views[shard], to_device=True
-                        )
-                        self.interpreters[shard].begin_stratum()
-                    self._run_stratum(stratum, program, feedback)
-                    for shard in range(self.n_shards):
-                        self.interpreters[shard]._charge_transfers(
-                            transfers.get(index, ()), self._views[shard], to_device=False
-                        )
-                finally:
-                    for interpreter, opened in zip(openers, opened_spans):
-                        interpreter._finish_stratum_span(opened)
+                for shard in range(self.n_shards):
+                    self.interpreters[shard]._charge_transfers(
+                        transfers.get(index, ()), self._views[shard], to_device=True
+                    )
+                    self.interpreters[shard].begin_stratum()
+                self._run_stratum(stratum, program, feedback)
+                for shard in range(self.n_shards):
+                    self.interpreters[shard]._charge_transfers(
+                        transfers.get(index, ()), self._views[shard], to_device=False
+                    )
+                for interpreter, opened in zip(openers, opened_spans):
+                    interpreter._finish_stratum_span(opened)
         finally:
             for interpreter in self.interpreters:
                 interpreter.feedback = None
@@ -423,20 +421,18 @@ class ShardedExecutor:
                     opened = (span, interpreter.trace_parent)
                     interpreter.trace_parent = span
                 deltas: dict[str, list[Table]] = {p: [] for p in stratum.predicates}
-                try:
-                    for rule_index, rule in enumerate(stratum.rules):
-                        if rule.edb_only:
-                            # Flat rules scan replicated FULL partitions only;
-                            # run each on one shard (round-robin) or every
-                            # shard would derive its output N times.
-                            if iteration > 1 or rule_index % n != shard:
-                                continue
-                        for variant in rule.variants:
-                            interpreter._execute_variant(
-                                variant, views[shard], deltas, iteration
-                            )
-                finally:
-                    interpreter._finish_stratum_span(opened)
+                for rule_index, rule in enumerate(stratum.rules):
+                    if rule.edb_only:
+                        # Flat rules scan replicated FULL partitions only;
+                        # run each on one shard (round-robin) or every
+                        # shard would derive its output N times.
+                        if iteration > 1 or rule_index % n != shard:
+                            continue
+                    for variant in rule.variants:
+                        interpreter._execute_variant(
+                            variant, views[shard], deltas, iteration
+                        )
+                interpreter._finish_stratum_span(opened)
                 shard_deltas.append(deltas)
 
             frontier = 0

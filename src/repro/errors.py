@@ -66,6 +66,13 @@ class UnknownProvenanceError(ProvenanceError, KeyError):
     __str__ = Exception.__str__  # KeyError would repr-quote the message
 
 
+class FactError(LobsterError, ValueError):
+    """Raised by :meth:`Database.add_facts` for rows that do not fit the
+    relation — wrong arity, a non-numeric cell, a ``probs`` list of
+    another length (also a :class:`ValueError`, which a length mismatch
+    raised before).  Nothing is stored when it is raised."""
+
+
 class RetractionUnsupportedError(LobsterError):
     """Raised when DRed-style maintain was explicitly requested
     (``engine.run(db, maintain=True)``) but the program or provenance
@@ -84,40 +91,6 @@ class RetractionUnsupportedError(LobsterError):
     def __init__(self, reason: str):
         self.reason = reason
         super().__init__(f"retraction maintain unsupported: {reason}")
-
-
-class JitUnsupportedError(LobsterError):
-    """Raised by the trace-JIT's region selector / fusion compiler when a
-    construct has no fused translation: stratified negation
-    (``AntiProbe``/``PassIfEmpty``), a non-idempotent ⊕ (fused ⊕-merge
-    would reassociate sums), or an unknown instruction.
-
-    Like :class:`RetractionUnsupportedError`, the engine's automatic
-    path never lets this escape: the offending variant (or the whole
-    trace) simply keeps executing through the interpreter, and the
-    reason is recorded on :attr:`ExecutionResult.jit_deopt`.
-    """
-
-    def __init__(self, reason: str):
-        self.reason = reason
-        super().__init__(f"trace-JIT unsupported: {reason}")
-
-
-class TraceGuardError(ExecutionError):
-    """Raised when a compiled trace's guard fails at run time: the
-    database no longer matches the specialization the trace was compiled
-    against (column dtype drift, a tag dtype from a different semiring
-    configuration, schema shape changes).
-
-    Guards run *before* any fused kernel side effect, so the engine
-    catches this, re-executes the variant through the interpreter, and
-    records the reason on :attr:`ExecutionResult.jit_deopt` — a clean
-    deoptimization, never a wrong result.
-    """
-
-    def __init__(self, reason: str):
-        self.reason = reason
-        super().__init__(f"trace guard failed: {reason}")
 
 
 class StaleViewError(LobsterError):

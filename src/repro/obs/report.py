@@ -132,14 +132,12 @@ def explain_run(result, source=None, *, title: str = "explain run") -> str:
     if feedback is None:
         return f"{title}\n  (no feedback on this result — run an adaptive engine)"
     rule_seconds: dict[str, float] = {}
-    rule_kinds: dict[str, set] = {}
     if source is not None:
         for span in _spans_of(source):
             rule = span.attrs.get("rule")
             if rule is None or span.kind == "instant":
                 continue
             rule_seconds[rule] = rule_seconds.get(rule, 0.0) + span.duration_s
-            rule_kinds.setdefault(rule, set()).add(span.kind)
     keys = sorted(
         set(feedback.rule_estimates) | set(feedback.rule_actuals) | set(rule_seconds)
     )
@@ -149,7 +147,7 @@ def explain_run(result, source=None, *, title: str = "explain run") -> str:
         f"max drift: {feedback.max_drift():.2f}x",
         "",
         f"  {'rule':>8}  {'est rows':>10}  {'obs rows':>10}  {'drift':>7}  "
-        f"{'modeled ms':>11}  executed as",
+        f"{'modeled ms':>11}",
     ]
     for key in keys:
         estimate = feedback.rule_estimates.get(key)
@@ -160,11 +158,10 @@ def explain_run(result, source=None, *, title: str = "explain run") -> str:
         else:
             drift = f"{'-':>7}"
         seconds = rule_seconds.get(key)
-        kinds = "+".join(sorted(rule_kinds.get(key, ()))) or "-"
         lines.append(
             f"  {key:>8}  "
             f"{estimate if estimate is not None else '-':>10}  "
             f"{actual if actual is not None else '-':>10}  {drift}  "
-            f"{f'{seconds * 1e3:.3f}' if seconds is not None else '-':>11}  {kinds}"
+            f"{f'{seconds * 1e3:.3f}' if seconds is not None else '-':>11}"
         )
     return "\n".join(lines)

@@ -37,11 +37,11 @@ class Span:
 
     Mutable until finished: instrumentation sites open a span at a known
     start time, attach attributes as facts become available (cache hit,
-    iteration counts, deopt reasons), and close it at the modeled end
-    time.  ``kind`` distinguishes execution flavors ("kernel" vs
-    "interpreted" variants); ``track`` names the parallel resource the
-    span occupies (a device, a shard, a request lane) for the exporter's
-    thread lanes.
+    iteration counts, fallback reasons), and close it at the modeled end
+    time.  ``kind`` is "span", "instant" (zero-duration markers) or
+    "kernel" (per-instruction spans under ``Tracer(kernels=True)``);
+    ``track`` names the parallel resource the span occupies (a device, a
+    shard, a request lane) for the exporter's thread lanes.
     """
 
     __slots__ = (
@@ -198,6 +198,16 @@ class Tracer:
             return
         span.end_s = self.now if t is None else t
 
+    def finish_open(self, root: Span, t: float) -> None:
+        """Finish every still-open descendant of ``root`` at ``t`` — a
+        failure unwinds past the sites that would have closed them."""
+        inside = {root.span_id}
+        for span in self.spans:  # creation order: parents precede children
+            if span.parent_id in inside:
+                inside.add(span.span_id)
+                if span.end_s is None:
+                    span.end_s = t
+
     def event(
         self,
         name: str,
@@ -207,7 +217,7 @@ class Tracer:
         track: str | None = None,
         **attrs,
     ) -> Span | None:
-        """A zero-duration instant (admission verdicts, deopts, WAL
+        """A zero-duration instant (admission verdicts, re-plans, WAL
         appends — markers with no modeled cost of their own)."""
         span = self.start(
             name, t=t, parent=parent, track=track, kind="instant", **attrs

@@ -8,8 +8,8 @@ repo's benchmark workloads from machinery that already exists — the
 the modeled :class:`~repro.gpu.device.DeviceProfile` clocks — and
 renders it into the versioned markdown summary, so a reader can check
 the suite spans selective and explosive joins, uniform and skewed keys,
-shallow and deep recursion, exchange-light and exchange-heavy sharding,
-and JIT-friendly and JIT-hostile programs.
+shallow and deep recursion, and exchange-light and exchange-heavy
+sharding.
 
 Per workload (all on fixed seeds, so the report is deterministic and the
 tests pin it):
@@ -23,9 +23,7 @@ tests pin it):
 * ``key_skew`` — max over EDB columns of the CMS heavy-hitter fraction
   (:meth:`~repro.stats.relation_stats.ColumnStats.skew`);
 * ``exchange_fraction`` — exchange seconds / busy seconds on a 2-shard
-  run (how much scale-out pays in shuffle);
-* ``jit_coverage`` — fractional kernel-launch reduction of a hot JIT'd
-  run vs the interpreter (0.0 when the JIT refuses the program).
+  run (how much scale-out pays in shuffle).
 """
 
 from __future__ import annotations
@@ -135,7 +133,6 @@ class WorkloadCharacter:
     probe_amplification: float
     key_skew: float
     exchange_fraction: float
-    jit_coverage: float
 
     def to_dict(self) -> dict:
         return {
@@ -147,7 +144,6 @@ class WorkloadCharacter:
             "probe_amplification": round(self.probe_amplification, 6),
             "key_skew": round(self.key_skew, 6),
             "exchange_fraction": round(self.exchange_fraction, 6),
-            "jit_coverage": round(self.jit_coverage, 6),
         }
 
 
@@ -159,10 +155,9 @@ def _populate(engine, facts):
 
 
 def characterize_one(name, source, query, facts) -> WorkloadCharacter:
-    """Characterize one workload with three cheap runs: an adaptive
-    single-device run (feedback + sketches), a 2-shard run (exchange),
-    and a short hot loop with the JIT on (coverage)."""
-    from .. import JitConfig, LobsterEngine, ProgramCache
+    """Characterize one workload with two cheap runs: an adaptive
+    single-device run (feedback + sketches) and a 2-shard run (exchange)."""
+    from .. import LobsterEngine
 
     edb_rows = sum(len(rows) for rows in facts.values())
 
@@ -189,23 +184,6 @@ def characterize_one(name, source, query, facts) -> WorkloadCharacter:
     busy = sharded_result.profile.busy_seconds
     exchange = sharded_result.profile.exchange_seconds
 
-    # -- hot loop: does the JIT cover this program, and how much -------
-    interp_launches = jit_launches = 0
-    jit_engine = LobsterEngine(
-        source,
-        provenance="unit",
-        cache=ProgramCache(),
-        jit=JitConfig(hot_runs=1),
-    )
-    last = None
-    for _ in range(3):
-        last = jit_engine.run(_populate(jit_engine, facts))
-    jit_launches = last.profile.kernel_launches
-    interp_engine = LobsterEngine(source, provenance="unit")
-    interp_launches = interp_engine.run(
-        _populate(interp_engine, facts)
-    ).profile.kernel_launches
-
     return WorkloadCharacter(
         workload=name,
         edb_rows=edb_rows,
@@ -215,9 +193,6 @@ def characterize_one(name, source, query, facts) -> WorkloadCharacter:
         probe_amplification=probe / edb_rows if edb_rows else 0.0,
         key_skew=skew,
         exchange_fraction=exchange / busy if busy else 0.0,
-        jit_coverage=(
-            1.0 - jit_launches / interp_launches if interp_launches else 0.0
-        ),
     )
 
 
@@ -236,14 +211,14 @@ def render_markdown(characters: list[WorkloadCharacter]) -> list[str]:
     """The characterization table for the versioned summary."""
     lines = [
         "| workload | EDB rows | IDB rows | iters | join sel. | "
-        "probe ampl. | key skew | exch. frac | JIT cov. |",
-        "|---|---|---|---|---|---|---|---|---|",
+        "probe ampl. | key skew | exch. frac |",
+        "|---|---|---|---|---|---|---|---|",
     ]
     for ch in characters:
         lines.append(
             f"| {ch.workload} | {ch.edb_rows} | {ch.idb_rows} | "
             f"{ch.iterations} | {ch.join_selectivity:.3f} | "
             f"{ch.probe_amplification:.2f} | {ch.key_skew:.3f} | "
-            f"{ch.exchange_fraction:.3f} | {ch.jit_coverage:.2f} |"
+            f"{ch.exchange_fraction:.3f} |"
         )
     return lines

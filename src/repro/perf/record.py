@@ -1,7 +1,7 @@
 """Schema-versioned machine-readable benchmark records (``BENCH_*.json``).
 
-One :class:`SuiteRecord` per benchmark suite (``jit``, ``planner``,
-``fig13_tc``, ...), written as ``BENCH_<suite>.json`` next to the
+One :class:`SuiteRecord` per benchmark suite (``planner``, ``fig13_tc``,
+...), written as ``BENCH_<suite>.json`` next to the
 versioned markdown summaries under ``benchmarks/results/``.  A record
 carries everything a later run needs to decide whether performance moved:
 

@@ -237,14 +237,6 @@ class CacheStats:
     evictions: int = 0
     #: Artifacts dropped by drift-triggered invalidation.
     invalidations: int = 0
-    #: Trace-JIT code-cache counters, separate from the plan counters
-    #: above: a run that hits the plan cache may still miss the trace
-    #: cache (not hot yet / signature drift / invalidated with the plan).
-    trace_hits: int = 0
-    trace_misses: int = 0
-    #: Guard-failure (or unsupported-construct) deopts reported back by
-    #: the engine — every one executed interpreted, never wrong.
-    trace_deopts: int = 0
 
     @property
     def lookups(self) -> int:
@@ -253,10 +245,6 @@ class CacheStats:
     @property
     def hit_rate(self) -> float:
         return self.hits / self.lookups if self.lookups else 0.0
-
-    @property
-    def trace_lookups(self) -> int:
-        return self.trace_hits + self.trace_misses
 
 
 class ProgramCache:
@@ -273,11 +261,6 @@ class ProgramCache:
         self.capacity = capacity
         self.stats = CacheStats()
         self._entries: OrderedDict[str, CompiledProgram] = OrderedDict()
-        #: Trace-JIT code cache: compiled traces live *alongside* their
-        #: plan, keyed by ``(plan key, dtype signature)``, and share the
-        #: plan's lifecycle — eviction or drift invalidation of the plan
-        #: drops its traces too.
-        self._traces: dict[tuple[str, str], object] = {}
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -287,7 +270,6 @@ class ProgramCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-            self._traces.clear()
             self.stats = CacheStats()
 
     def get(self, key: str) -> CompiledProgram | None:
@@ -304,44 +286,11 @@ class ProgramCache:
         re-plan against fresh statistics).  Returns whether it was held.
         """
         with self._lock:
-            self._drop_traces(key)
             if key in self._entries:
                 del self._entries[key]
                 self.stats.invalidations += 1
                 return True
             return False
-
-    # ------------------------------------------------------------------
-    # Trace-JIT code cache
-
-    def _drop_traces(self, plan_key: str) -> None:
-        for trace_key in [k for k in self._traces if k[0] == plan_key]:
-            del self._traces[trace_key]
-
-    def get_trace(self, plan_key: str, signature: str, apm=None):
-        """Look up a compiled trace.  When ``apm`` is given, a trace
-        compiled against a *different* :class:`ApmProgram` instance is a
-        miss (and is dropped): its kernels are keyed by variant identity,
-        so a recompiled plan — e.g. after drift invalidation — must
-        re-record rather than dispatch into stale kernels."""
-        with self._lock:
-            trace = self._traces.get((plan_key, signature))
-            if trace is not None and apm is not None and trace.apm is not apm:
-                del self._traces[(plan_key, signature)]
-                trace = None
-            if trace is None:
-                self.stats.trace_misses += 1
-            else:
-                self.stats.trace_hits += 1
-            return trace
-
-    def put_trace(self, trace) -> None:
-        with self._lock:
-            self._traces[(trace.plan_key, trace.signature)] = trace
-
-    def record_trace_deopt(self, n: int = 1) -> None:
-        with self._lock:
-            self.stats.trace_deopts += n
 
     def get_or_compile(
         self,
@@ -382,8 +331,7 @@ class ProgramCache:
             self._entries.move_to_end(key)
             if self.capacity is not None:
                 while len(self._entries) > self.capacity:
-                    evicted_key, _ = self._entries.popitem(last=False)
-                    self._drop_traces(evicted_key)
+                    self._entries.popitem(last=False)
                     self.stats.evictions += 1
         return compiled, False
 

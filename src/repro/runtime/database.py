@@ -35,9 +35,47 @@ import numpy as np
 
 from .relation import StoredRelation
 from .table import Table
-from ..errors import ResolutionError
+from ..errors import FactError, ResolutionError
 from ..provenance.base import Provenance
 from ..stats.relation_stats import RelationStats, StatsCatalog
+
+#: Cell types :func:`_checked_rows` accepts on an exact-type test (one C
+#: call per row); other numeric scalars pass the slower isinstance test.
+_PLAIN_CELLS = frozenset({int, float, bool, np.int64, np.float64})
+_NUMERIC_CELLS = (int, float, np.integer, np.floating, np.bool_)
+
+
+def _checked_rows(name: str, rows, arity: int | None) -> list[tuple]:
+    """``rows`` as tuples of ``arity`` numeric cells each (``arity`` None:
+    the first row's length, for a relation with no schema yet), or a
+    :class:`FactError` naming the first row that is not."""
+
+    def misfit(index, row):
+        return FactError(
+            f"relation {name!r} takes rows of {arity} numeric cells; "
+            f"row {index} is {row!r}"
+        )
+
+    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind in "biuf":
+        # A numeric array: one shape test covers every row.
+        if len(rows) and arity is not None and rows.shape[1] != arity:
+            raise misfit(0, tuple(rows[0]))
+        return [tuple(row) for row in rows]
+    checked = []
+    for index, row in enumerate(rows):
+        try:
+            cells = tuple(row)
+        except TypeError:
+            raise misfit(index, row) from None
+        if arity is None:
+            arity = len(cells)
+        if len(cells) != arity or not (
+            _PLAIN_CELLS.issuperset(map(type, cells))
+            or all(isinstance(cell, _NUMERIC_CELLS) for cell in cells)
+        ):
+            raise misfit(index, row)
+        checked.append(cells)
+    return checked
 
 
 class Database:
@@ -123,18 +161,29 @@ class Database:
 
         Calling this after the database has been evaluated marks the rows
         as a pending delta; the next engine run folds them in.
+
+        Rows that do not fit the relation (arity, non-numeric cells) or a
+        ``probs`` of another length raise :class:`~repro.errors.FactError`
+        before anything is stored.
         """
-        if name not in self.schemas:
+        if probs is not None and len(probs) != len(rows):
+            raise FactError(
+                f"relation {name!r}: {len(probs)} probs for {len(rows)} rows"
+            )
+        schema = self.schemas.get(name)
+        if schema is None and len(rows) == 0:
+            # Undeclared and no row to infer a schema from: nothing to store.
+            return np.full(0, -1, dtype=np.int64)
+        rows = _checked_rows(name, rows, None if schema is None else len(schema))
+        if schema is None:
             self.schemas[name] = self._infer_schema(rows)
         self.version += 1
         pending_rows, pending_ids = self._pending.setdefault(name, ([], []))
         if probs is None:
             ids = np.full(len(rows), -1, dtype=np.int64)
-            pending_rows.extend(tuple(row) for row in rows)
+            pending_rows.extend(rows)
             pending_ids.extend([-1] * len(rows))
             return ids
-        if len(probs) != len(rows):
-            raise ValueError("probs length must match rows length")
         if group is None:
             group = -1
             if exclusive:
@@ -142,7 +191,7 @@ class Database:
         start = len(self._probs)
         ids = np.arange(start, start + len(rows), dtype=np.int64)
         for row, prob in zip(rows, probs):
-            pending_rows.append(tuple(row))
+            pending_rows.append(row)
             pending_ids.append(len(self._probs))
             self._probs.append(float(prob))
             self._groups.append(group)
@@ -150,8 +199,6 @@ class Database:
 
     @staticmethod
     def _infer_schema(rows: list[tuple]) -> tuple[np.dtype, ...]:
-        if not rows:
-            return ()
         arity = len(rows[0])
         return tuple(
             np.dtype(np.float64)

@@ -29,8 +29,8 @@ and cold rerun, or raises if it was requested explicitly.
 :meth:`LobsterEngine._execute` then runs the plan over a list of *lanes*,
 one interpreter per device — the caller's warm one (sessions, pools), a
 fresh one on ``engine.device``, or the sharded executor's per-shard set —
-with one attach/detach of feedback, trace-JIT and tracer hooks and one
-profile accounting.  A single device is the one-lane case.
+with one attach/detach of feedback and tracer hooks and one profile
+accounting.  A single device is the one-lane case.
 
 Example
 -------
@@ -66,13 +66,6 @@ from ..apm.compiler import ApmProgram
 from ..apm.interpreter import DEFAULT_MAX_ITERATIONS, ApmInterpreter
 from ..errors import LobsterError, ProvenanceError, RetractionUnsupportedError
 from ..gpu.device import DeviceProfile, VirtualDevice
-from ..jit import (
-    JitConfig,
-    JitRunState,
-    TraceRecorder,
-    compile_trace,
-    trace_signature,
-)
 from ..obs import NULL_TRACER, Tracer
 from ..provenance import registry
 from ..provenance.base import Provenance
@@ -135,18 +128,6 @@ class ExecutionResult:
     #: Whether this run executed under a different compiled plan than
     #: the engine's previous run (the adaptive re-planning path).
     replanned: bool = False
-    #: Whether any fused trace-JIT kernels executed in this run (the
-    #: code-cache re-entry path).
-    jit: bool = False
-    #: Why a jit-eligible run (fully or partly) fell back to the
-    #: interpreter: a guard failure (dtype/schema/semiring drift) or an
-    #: unsupported construct (non-idempotent ⊕).  None when nothing
-    #: deopted.  Mirrors :attr:`maintain_fallback` — the fallback is
-    #: always clean, never wrong.
-    jit_deopt: str | None = None
-    #: Whether this run recorded a trace for the code cache (the run
-    #: itself executed interpreted; the *next* run enters the cache).
-    jit_recorded: bool = False
 
     @property
     def total_seconds(self) -> float:
@@ -252,7 +233,6 @@ class LobsterEngine:
         shard_map=None,
         adaptive: bool = False,
         replan_drift: float = 8.0,
-        jit: bool | JitConfig = False,
         tracing: bool | Tracer = False,
         **provenance_kwargs,
     ):
@@ -284,21 +264,9 @@ class LobsterEngine:
         plan; only operator order changes.  Requires a real program
         cache (``cache=False`` is rejected).
 
-        ``jit=True`` (or a :class:`~repro.jit.JitConfig`) turns on the
-        trace-JIT: after ``hot_runs`` warm interpreted runs of a plan,
-        the next run records its instruction trace, the fusion compiler
-        lowers it to fused vectorized kernels, and subsequent runs enter
-        the code cache instead of the interpreter.  Results are always
-        bitwise identical — guard failures and unsupported constructs
-        deopt to the interpreter with the reason on
-        :attr:`ExecutionResult.jit_deopt`.  Traces live next to their
-        plan in the :class:`ProgramCache`, so ``cache=False`` is
-        rejected, and drift-triggered re-planning invalidates them.
-
         ``tracing=True`` (or a :class:`~repro.obs.Tracer`) collects span
         timelines for every run on the modeled clocks — plan selection,
-        strata, iterations, kernel-vs-interpreted variants, shard
-        exchanges — exportable via
+        strata, iterations, variants, shard exchanges — exportable via
         :meth:`~repro.obs.Tracer.export_perfetto`.  Tracing never
         charges the device, so traced results are bitwise identical to
         untraced ones.
@@ -337,9 +305,6 @@ class LobsterEngine:
                 "(the paper's §3.5 limitation); use the Scallop baseline"
             )
 
-        if jit is True:
-            jit = JitConfig()
-        self.jit: JitConfig | None = jit or None
         if cache is None or cache is True:
             cache = default_cache()
         if cache is False:
@@ -347,12 +312,6 @@ class LobsterEngine:
                 raise LobsterError(
                     "adaptive re-planning keys plans in a ProgramCache; "
                     "pass cache=None (process default) or a ProgramCache"
-                )
-            if self.jit is not None:
-                raise LobsterError(
-                    "the trace-JIT stores compiled traces in a "
-                    "ProgramCache; pass cache=None (process default) or "
-                    "a ProgramCache"
                 )
             compiled = compile_source(
                 source, self.provenance_name, self.optimizations, batched
@@ -374,10 +333,6 @@ class LobsterEngine:
         #: estimator error, not stale statistics — so repeating the
         #: invalidate/recompile cycle would thrash the cache forever.
         self._drift_invalidated: set[str] = set()
-        #: Warm interpreted runs per (plan key, dtype signature) — the
-        #: trace-JIT's hotness counter.  Once it reaches
-        #: ``jit.hot_runs``, the next run records a trace.
-        self._jit_runs: dict[tuple[str, str], int] = {}
         self.compiled: CompiledProgram = compiled
         self.cache_hit = cache_hit
         #: Front-end seconds paid by *this* construction (0.0 on a hit).
@@ -560,46 +515,6 @@ class LobsterEngine:
         )
         return compiled
 
-    def _prepare_jit(
-        self,
-        active: CompiledProgram,
-        database: Database,
-        feedback: PlanFeedback | None,
-    ) -> tuple[TraceRecorder | None, JitRunState | None, str | None]:
-        """The trace-JIT's per-run decision: warm (count), record, or
-        execute.  Returns ``(recorder, state, deopt_reason)`` — at most
-        one of the three is set.
-
-        The code cache is consulted under the run's ``(plan key, dtype
-        signature)``: a hit whose trace is unsupported (non-idempotent ⊕)
-        reports a deopt; a supported hit dispatches through
-        :class:`~repro.jit.JitRunState`.  On a miss the hotness counter
-        advances, and once it passes ``hot_runs`` the run records — with
-        the adaptive feedback when one is live, else its own, so
-        observed cardinalities ride along either way.
-        """
-        if self.jit is None or self._program_cache is None:
-            return None, None, None
-        signature = trace_signature(database)
-        trace = self._program_cache.get_trace(
-            active.key, signature, apm=active.apm
-        )
-        if trace is not None:
-            if trace.unsupported is not None:
-                return None, None, trace.unsupported
-            return None, JitRunState(trace), None
-        key = (active.key, signature)
-        runs = self._jit_runs.get(key, 0)
-        if runs < self.jit.hot_runs:
-            self._jit_runs[key] = runs + 1
-            return None, None, None
-        recorder = TraceRecorder(
-            plan_key=active.key,
-            signature=signature,
-            feedback=feedback if feedback is not None else PlanFeedback(),
-        )
-        return recorder, None, None
-
     def run(
         self,
         database: Database,
@@ -660,9 +575,6 @@ class LobsterEngine:
             previous = self._last_plan_key or self.compiled.key
             replanned = active.key != previous
             self._last_plan_key = active.key
-        jit_recorder, jit_state, jit_reason = self._prepare_jit(
-            active, database, feedback
-        )
         # Resolved before the span opens: a refused request never ran.
         mode, fallback = self._resolve(database, incremental, maintain)
         lanes, executor = self._lanes(_interpreter)
@@ -688,32 +600,10 @@ class LobsterEngine:
             executor,
             reset_profile=reset_profile,
             feedback=feedback,
-            jit_recorder=jit_recorder,
-            jit_state=jit_state,
             tracer=run_tracer,
             run_span=run_span,
         )
         result.maintain_fallback = fallback
-        if jit_recorder is not None and self._program_cache is not None:
-            # The recording run executed interpreted; compile its trace
-            # now so the next run enters the code cache.
-            trace = compile_trace(
-                active.apm, database.provenance, jit_recorder, self.jit
-            )
-            self._program_cache.put_trace(trace)
-            result.jit_recorded = True
-        if jit_state is not None:
-            result.jit = jit_state.executed > 0
-            if jit_state.deopts:
-                result.jit_deopt = jit_state.deopts[0]
-                if self._program_cache is not None:
-                    self._program_cache.record_trace_deopt(
-                        len(jit_state.deopts)
-                    )
-        elif jit_reason is not None:
-            result.jit_deopt = jit_reason
-            if self._program_cache is not None:
-                self._program_cache.record_trace_deopt()
         if feedback is not None:
             feedback.relation_rows = {
                 name: rel.n_facts() for name, rel in database.relations.items()
@@ -751,11 +641,7 @@ class LobsterEngine:
                 incremental=result.incremental,
                 maintained=result.maintained,
                 shards=result.shards,
-                jit=result.jit,
-                jit_recorded=result.jit_recorded,
             )
-            if result.jit_deopt is not None:
-                run_span.attrs["jit_deopt"] = result.jit_deopt
             if result.maintain_fallback is not None:
                 run_span.attrs["maintain_fallback"] = result.maintain_fallback
             end = run_span.start_s + result.service_seconds
@@ -856,8 +742,6 @@ class LobsterEngine:
         *,
         reset_profile: bool,
         feedback: PlanFeedback | None,
-        jit_recorder: TraceRecorder | None,
-        jit_state: JitRunState | None,
         tracer,
         run_span,
     ) -> ExecutionResult:
@@ -871,18 +755,10 @@ class LobsterEngine:
         befores = [lane.device.profile.snapshot() for lane in lanes]
         counter = executor if executor is not None else lanes[0]
         iterations_before = counter.iterations_run
-        # A recording run without an adaptive feedback still needs one
-        # attached: the recorder's observed cardinalities come from it.
-        # (The sharded executor swaps in per-shard feedbacks it sums back.)
-        run_feedback = feedback
-        if run_feedback is None and jit_recorder is not None:
-            run_feedback = jit_recorder.feedback
+        lane_spans = []  # per traced lane, the span its interior spans nest under
         for shard, lane in enumerate(lanes):
-            # Lanes share the trace's stateless kernels and the one run
-            # state, so executed/deopt counts aggregate across shards.
-            lane.feedback = run_feedback
-            lane.jit_recorder = jit_recorder
-            lane.jit_state = jit_state
+            # (The sharded executor swaps in per-shard feedbacks it sums back.)
+            lane.feedback = feedback
             if run_span is not None:
                 # Interior spans (strata, iterations, variants) timestamp
                 # themselves off the lane's device busy clock, anchored
@@ -894,28 +770,33 @@ class LobsterEngine:
                     lane.trace_parent = tracer.start(
                         "shard", parent=run_span, track=f"shard{shard}", shard=shard
                     )
+                lane_spans.append(lane.trace_parent)
                 lane.trace_clock = tracer.device_clock(lane.device)
         start = time.perf_counter()
         try:
             if executor is not None:
-                executor.run(apm, database, feedback=run_feedback)
+                executor.run(apm, database, feedback=feedback)
             elif mode == "maintain":
                 lanes[0].maintain(apm, database)
             else:
                 lanes[0].run(apm, database, incremental=mode == "incremental")
         except BaseException as error:
             if run_span is not None:
-                # A failed run closes its span at the busiest lane's clock.
+                # A failed run closes whatever each lane left open at that
+                # lane's clock, and its own span at the busiest lane's.
+                for lane, lane_span in zip(lanes, lane_spans):
+                    tracer.finish_open(lane_span, lane.trace_clock())
                 end = max(lane.trace_clock() for lane in lanes)
                 run_span.attrs["error"] = type(error).__name__
                 tracer.finish(run_span, end)
                 tracer.set_time(end)
             raise
         finally:
+            if executor is not None:
+                for lane, lane_span in zip(lanes, lane_spans):
+                    tracer.finish(lane_span, lane.trace_clock())
             for lane in lanes:
-                if executor is not None and lane.trace_parent is not None:
-                    tracer.finish(lane.trace_parent, lane.trace_clock())
-                lane.feedback = lane.jit_recorder = lane.jit_state = None
+                lane.feedback = None
                 lane.tracer = NULL_TRACER
                 lane.trace_clock = lane.trace_parent = None
         wall = time.perf_counter() - start

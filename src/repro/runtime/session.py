@@ -109,19 +109,6 @@ class SessionReport:
             return 0.0
         return max(profile.busy_seconds for profile in self.device_profiles)
 
-    @property
-    def jit_runs(self) -> int:
-        """Queries in this drain that executed fused trace-JIT kernels."""
-        return sum(1 for result in self.results if result.jit)
-
-    @property
-    def jit_deopts(self) -> int:
-        """Queries in this drain that (fully or partly) deopted from the
-        code cache back to the interpreter."""
-        return sum(
-            1 for result in self.results if result.jit_deopt is not None
-        )
-
 
 class LobsterSession:
     """Serve many independent databases through one compiled program.
@@ -392,12 +379,6 @@ class LobsterSession:
                 # queries; surface each swap so serving dashboards can
                 # see the planner reacting to drifting cardinalities.
                 self.metrics.counter("session.replans").inc()
-            if result.jit:
-                self.metrics.counter("jit.trace_hits").inc()
-            if result.jit_recorded:
-                self.metrics.counter("jit.recordings").inc()
-            if result.jit_deopt is not None:
-                self.metrics.counter("jit.deopts").inc()
             self.metrics.histogram("session.service_s").observe(
                 result.service_seconds
             )

@@ -99,6 +99,23 @@ class TestParser:
         with pytest.raises(ParseError, match=r"\d+:\d+"):
             parse("rel p(x :- q(x).")
 
+    @pytest.mark.parametrize(
+        "rule, column",
+        [
+            ("rel p(a) = q(a) and a == 99999999999999999999999999", 26),
+            ("rel p(a + 9223372036854775808) = q(a)", 11),
+        ],
+        ids=["filter", "head"],
+    )
+    def test_integer_literal_outside_int64_is_a_parse_error(self, rule, column):
+        """It used to compile and then die in the run (np.full overflow)."""
+        from repro import LobsterEngine
+
+        with pytest.raises(ParseError, match="64-bit") as raised:
+            LobsterEngine("type q(i64)\n" + rule)
+        assert (raised.value.line, raised.value.column) == (2, column)
+        parse("rel p(a) = q(a) and a == 9223372036854775807")  # the largest fits
+
     def test_wildcard(self):
         program = parse("rel p(x) :- q(x, _).")
         atom = program.rules[0].body

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import inspect
+import re
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -19,6 +23,7 @@ class TestErrorHierarchy:
             "DeviceOutOfMemory",
             "EvaluationTimeout",
             "ProvenanceError",
+            "FactError",
             "RetractionUnsupportedError",
             "SessionError",
             "StaleViewError",
@@ -26,8 +31,6 @@ class TestErrorHierarchy:
             "CheckpointMismatchError",
             "UnknownTicketError",
             "TicketNotRunError",
-            "JitUnsupportedError",
-            "TraceGuardError",
         ):
             assert issubclass(getattr(errors, name), errors.LobsterError), name
 
@@ -44,25 +47,6 @@ class TestErrorHierarchy:
         error = errors.RetractionUnsupportedError("negation in stratum 2")
         assert error.reason == "negation in stratum 2"
         assert "negation in stratum 2" in str(error)
-
-    def test_trace_guard_is_execution_error(self):
-        # A guard failure happens mid-run, like an OOM — catchable as an
-        # execution failure; unsupported-construct is a compile-side
-        # classification, so it stays a plain LobsterError.
-        assert issubclass(errors.TraceGuardError, errors.ExecutionError)
-        assert not issubclass(errors.JitUnsupportedError, errors.ExecutionError)
-
-    def test_jit_errors_carry_reason(self):
-        guard = errors.TraceGuardError("column dtype drifted: edge[0]")
-        assert guard.reason == "column dtype drifted: edge[0]"
-        assert "column dtype drifted: edge[0]" in str(guard)
-        unsupported = errors.JitUnsupportedError("AntiProbe")
-        assert unsupported.reason == "AntiProbe"
-        assert "AntiProbe" in str(unsupported)
-
-    def test_jit_errors_importable_from_top_level(self):
-        assert repro.JitUnsupportedError is errors.JitUnsupportedError
-        assert repro.TraceGuardError is errors.TraceGuardError
 
     def test_streaming_errors_importable_from_top_level(self):
         import repro
@@ -112,3 +96,25 @@ class TestPublicApi:
     def test_engine_importable_from_top_level(self):
         assert repro.LobsterEngine is not None
         assert repro.VirtualDevice is not None
+
+    @pytest.mark.parametrize("provenance", ["unit", "top-k-proofs-device"])
+    @pytest.mark.parametrize("knob", [{"jit": True}, {"jit": None, "hot_runs": 1}])
+    def test_removed_jit_knob_is_a_typed_error(self, provenance, knob):
+        """The trace-JIT is gone: its keywords fall into the semiring's
+        ``**provenance_kwargs``, which names what it does not accept."""
+        with pytest.raises(errors.ProvenanceError, match="'jit'"):
+            repro.LobsterEngine("rel p(x) :- q(x).", provenance=provenance, **knob)
+
+    def test_engine_constructor_takes_exactly_the_documented_parameters(self):
+        """docs/architecture.md's table is the knob count ROADMAP tracks."""
+        text = (Path(__file__).parent.parent / "docs" / "architecture.md").read_text()
+        section = text.split("### Constructor parameters", 1)[1].split("\n#", 1)[0]
+        documented = re.findall(r"^\| `(\w+)` \|", section, flags=re.MULTILINE)
+        signature = inspect.signature(repro.LobsterEngine.__init__)
+        named = [
+            name
+            for name, parameter in signature.parameters.items()
+            if name != "self" and parameter.kind is not parameter.VAR_KEYWORD
+        ]
+        assert documented == named
+        assert len(named) == 13

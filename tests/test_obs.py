@@ -120,7 +120,7 @@ class TestExport:
         tracer = Tracer(seed=1)
         root = tracer.start("serve.request", t=0.0, track="request#0")
         child = tracer.start("engine.run", t=0.1, parent=root, plan="abc")
-        tracer.event("jit.deopt", t=0.15, parent=child, reason="guard")
+        tracer.event("plan.replan", t=0.15, parent=child, reason="drift")
         tracer.finish(child, 0.4)
         tracer.finish(root, 0.5)
         return tracer.spans
@@ -134,7 +134,7 @@ class TestExport:
         assert {e["name"] for e in complete} == {"serve.request", "engine.run"}
         instant = next(e for e in events if e["ph"] == "i")
         assert instant["s"] == "t"
-        assert instant["args"]["reason"] == "guard"
+        assert instant["args"]["reason"] == "drift"
         run = next(e for e in complete if e["name"] == "engine.run")
         assert run["cat"] == "engine"
         assert run["ts"] == pytest.approx(0.1e6)

@@ -1,11 +1,10 @@
 """ExecutionResult observability fields across execution paths.
 
 Every trace attribute the obs/ layer exports originates in the fields
-under test here — ``jit``, ``jit_recorded``, ``jit_deopt``,
-``maintained``, ``maintain_fallback``, ``replanned``, ``shards``,
-``shard_profiles``, ``incremental``, ``feedback`` — so each execution
-path (cold, warm incremental, jit'd, deopted, sharded, maintained,
-adaptive) must report them consistently: flags that exclude each other
+under test here — ``maintained``, ``maintain_fallback``, ``replanned``,
+``shards``, ``shard_profiles``, ``incremental``, ``feedback`` — so each
+execution path (cold, warm incremental, sharded, maintained, adaptive)
+must report them consistently: flags that exclude each other
 never co-assert, and a fallback reason is present exactly when the flag
 says the fast path was not taken.
 """
@@ -34,9 +33,6 @@ def run_fresh(engine, edges=EDGES, probs=None, n_runs=1):
 
 def assert_flags_consistent(result):
     """The cross-field invariants every path must satisfy."""
-    # Executing from the code cache and recording for it are distinct
-    # lifecycle phases of distinct runs.
-    assert not (result.jit and result.jit_recorded)
     # A maintain fallback reason exists only when the run did NOT
     # maintain in place.
     if result.maintained:
@@ -59,9 +55,6 @@ class TestColdPath:
         engine = LobsterEngine(TC_PROGRAM, cache=ProgramCache())
         result = run_fresh(engine)
         assert_flags_consistent(result)
-        assert result.jit is False
-        assert result.jit_recorded is False
-        assert result.jit_deopt is None
         assert result.incremental is False
         assert result.maintained is False
         assert result.maintain_fallback is None
@@ -106,33 +99,6 @@ class TestWarmPaths:
         assert not result.maintained
         assert "sharded" in result.maintain_fallback
         assert result.shards == 2
-
-
-class TestJitPaths:
-    def test_lifecycle_fields_over_the_hotness_phases(self):
-        engine = LobsterEngine(TC_PROGRAM, cache=ProgramCache(), jit=True)
-        phases = []
-        for _ in range(5):
-            result = run_fresh(engine)
-            assert_flags_consistent(result)
-            phases.append((result.jit, result.jit_recorded))
-        # Interpreted warm-up, one recording run, then code-cache entry.
-        assert (True, False) in phases
-        record_at = phases.index((False, True))
-        assert all(jit for jit, _ in phases[record_at + 1 :])
-
-    def test_unsupported_semiring_deopts_with_reason(self):
-        engine = LobsterEngine(
-            TC_PROGRAM, provenance="addmultprob", cache=ProgramCache(), jit=True
-        )
-        # Acyclic on purpose: a non-idempotent ⊕ over a cycle would keep
-        # accumulating mass and never saturate the fixpoint.
-        dag = [(i, i + 1) for i in range(15)] + [(i, i + 2) for i in range(13)]
-        result = run_fresh(engine, edges=dag, probs=[0.5] * len(dag), n_runs=4)
-        assert_flags_consistent(result)
-        assert not result.jit
-        assert result.jit_deopt is not None
-        assert "non-idempotent" in result.jit_deopt
 
 
 class TestShardedPath:

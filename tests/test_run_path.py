@@ -26,8 +26,10 @@ from repro import (
     Scheduler,
     ShardMap,
     Tracer,
+    VirtualDevice,
 )
-from repro.errors import ExecutionError, LobsterError
+from repro.errors import DeviceOutOfMemory, ExecutionError, LobsterError
+from repro.obs import validate_trace_events
 from repro.runtime.engine import (
     IDEMPOTENT,
     MODE_REQUIREMENTS,
@@ -286,22 +288,35 @@ class TestSessionFollowsTheLiveEngine:
 
 class TestFailedRunClosesItsSpan:
     """A run that raises still finishes ``engine.run`` (with the error's
-    type) and advances the cursor, so the next run's spans start after
-    the failed run's device time instead of on top of it."""
+    type) and every span opened beneath it, and advances the cursor, so
+    the next run's spans start after the failed run's device time
+    instead of on top of it."""
 
     CHAIN = [(n, n + 1) for n in range(8)]
 
     @pytest.mark.parametrize("shards", [1, 2])
     def test_iteration_cap(self, shards):
+        self.check(ExecutionError, shards=shards, max_iterations=2)
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_device_oom(self, shards):
+        """Dies mid-variant, under open stratum/iteration/variant spans."""
+        devices = [VirtualDevice(capacity_bytes=600) for _ in range(shards)]
+        knobs = {"shard_devices": devices} if shards > 1 else {"device": devices[0]}
+        self.check(DeviceOutOfMemory, **knobs)
+
+    def check(self, error, **knobs):
         tracer = Tracer()
-        engine = LobsterEngine(TC, shards=shards, max_iterations=2, tracing=tracer)
+        engine = LobsterEngine(TC, tracing=tracer, **knobs)
         db = engine.create_database()
         db.add_facts("edge", self.CHAIN)
-        with pytest.raises(ExecutionError):
+        with pytest.raises(error):
             engine.run(db)
+        assert {"stratum", "iteration", "variant"} <= {s.name for s in tracer.spans}
         assert [s.name for s in tracer.spans if s.end_s is None] == []
+        validate_trace_events(tracer.to_trace_events())
         failed = next(s for s in tracer.spans if s.name == "engine.run")
-        assert failed.attrs["error"] == "ExecutionError"
+        assert failed.attrs["error"] == error.__name__
         children = [s for s in tracer.spans if s.parent_id == failed.span_id]
         assert children and failed.end_s == max(s.end_s for s in children)
         assert failed.end_s > failed.start_s and tracer.now == failed.end_s
@@ -309,6 +324,7 @@ class TestFailedRunClosesItsSpan:
         retry = engine.create_database()
         retry.add_facts("edge", self.CHAIN[:1])
         engine.run(retry)
+        validate_trace_events(tracer.to_trace_events())
         succeeded = [s for s in tracer.spans if s.name == "engine.run"][1]
         assert "error" not in succeeded.attrs
         assert succeeded.start_s == failed.end_s

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import ResolutionError
+from repro.errors import FactError, LobsterError, ResolutionError
 from repro.interning import SymbolTable
 from repro.provenance import create
 from repro.runtime.database import Database
@@ -174,8 +174,52 @@ class TestDatabase:
 
     def test_probs_length_mismatch(self):
         db = self.make()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as raised:
             db.add_facts("edge", [(0, 1)], probs=[0.5, 0.6])
+        assert isinstance(raised.value, FactError)
+        assert isinstance(raised.value, LobsterError)
+        assert "'edge'" in str(raised.value)
+
+    def assert_rejected(self, db, rows, index):
+        """``rows`` raise FactError at add_facts naming the relation, its
+        arity and the offending row, and nothing is stored."""
+        version = db.version
+        with pytest.raises(FactError, match=rf"'edge'.* 2 .*row {index}\b"):
+            db.add_facts("edge", rows)
+        assert db.version == version and not db.has_pending_facts
+
+    def test_extra_cells_rejected_not_dropped(self):
+        self.assert_rejected(self.make(), [(0, 1), (1, 2, 3)], 1)
+
+    def test_short_row_rejected_at_add_time(self):
+        self.assert_rejected(self.make(), [(0, 1), ()], 1)
+        self.assert_rejected(self.make(), [(0, 1), 7], 1)
+
+    def test_non_numeric_cell_rejected_at_add_time(self):
+        self.assert_rejected(self.make(), [(0, 1), (2, 3), (4, "x")], 2)
+
+    def test_array_rows_checked_by_shape(self):
+        db = self.make()
+        self.assert_rejected(db, np.arange(6).reshape(2, 3), 0)
+        self.assert_rejected(db, np.arange(4), 0)
+        db.add_facts("edge", np.arange(4).reshape(2, 2))
+        db.add_facts("edge", [(np.int32(7), np.int16(8))])  # any numeric scalar
+        db.finalize()
+        assert sorted(db.result("edge").rows()) == [(0, 1), (2, 3), (7, 8)]
+
+    def test_empty_call_pins_no_schema_for_an_undeclared_relation(self):
+        db = self.make()
+        assert db.add_facts("score", []).tolist() == []
+        assert "score" not in db.schemas
+        db.add_facts("score", [(1, 0.5)])
+        db.finalize()
+        assert db.result("score").rows() == [(1, 0.5)]
+
+    def test_ragged_rows_rejected_while_inferring_a_schema(self):
+        db = self.make()
+        with pytest.raises(FactError, match=r"'score'.* 2 .*row 1\b"):
+            db.add_facts("score", [(1, 0.5), (2,)])
+        assert "score" not in db.schemas
 
     def test_duplicate_input_facts_oplus(self):
         db = self.make()
