@@ -145,10 +145,8 @@ def profile_metrics(profile) -> dict[str, float]:
     return {
         "busy_seconds": profile.busy_seconds,
         "kernel_seconds": profile.kernel_seconds,
-        "exchange_seconds": profile.exchange_seconds,
         "transfer_seconds": profile.transfer_seconds,
         "kernel_launches": float(profile.kernel_launches),
-        "exchange_bytes": float(profile.exchange_bytes),
     }
 
 
@@ -176,7 +174,7 @@ def report(
     Pass either a wall-clock :class:`Measurement` or raw ``samples`` with
     a ``unit`` (``modeled_s`` for the simulator clock).  ``metrics``
     carries modeled DeviceProfile counters; ``attrs`` free-form context
-    (rows, shards, provenance...).
+    (rows, provenance...).
     """
     if measurement is not None:
         result = BenchmarkResult(

@@ -28,7 +28,7 @@ Usage::
     python benchmarks/run_all.py                     # 1 trial, no warmup
     python benchmarks/run_all.py --trials 5 --warmups 1
     python benchmarks/run_all.py --tiny --trials 2   # CI smoke sizes
-    python benchmarks/run_all.py --filter scaleout   # only matching files
+    python benchmarks/run_all.py --filter serving    # only matching files
 """
 
 from __future__ import annotations

@@ -8,8 +8,9 @@ Public API highlights:
 * :class:`repro.LobsterSession` — batch many independent databases
   through one compiled program on a shared device (the serving layer),
   optionally round-robined across a :class:`repro.DevicePool`.
-* :mod:`repro.dist` — sharded multi-device execution: hash-partitioned
-  frontiers, exchange operators, and ``LobsterEngine(shards=N)``.
+* :mod:`repro.dist` — device pools: :class:`repro.DevicePool` spreads
+  independent queries across several virtual devices (round-robin or
+  least-loaded), the substrate sessions and the serving scheduler use.
 * :mod:`repro.serve` — the online serving front-end: SLO-classed
   requests, admission control, micro-batching scheduler over a device
   pool, Poisson/bursty load generation, and the metrics registry.
@@ -28,10 +29,9 @@ Public API highlights:
   keyed on (program, stats-bucket) so each observed data shape gets its
   own cost-based plan.
 * :mod:`repro.stats` — live relation statistics (KMV distinct + count-min
-  frequency sketches), the cardinality estimator and exchange-aware cost
-  model behind the planner, and the plan-feedback loop that re-optimizes
-  adaptive engines (``LobsterEngine(adaptive=True)``) when cardinalities
-  drift.
+  frequency sketches), the cardinality estimator and cost model behind
+  the planner, and the plan-feedback loop that re-optimizes adaptive
+  engines (``LobsterEngine(adaptive=True)``) when cardinalities drift.
 * :mod:`repro.obs` — deterministic end-to-end tracing on the modeled
   clocks: span timelines from request to kernel
   (``LobsterEngine(tracing=True)``, ``Scheduler(tracer=...)``), profile
@@ -62,14 +62,7 @@ from .errors import (
     TicketNotRunError,
     UnknownTicketError,
 )
-from .dist import (
-    DevicePool,
-    HashPartitioner,
-    ReshardPlan,
-    ReshardPlanner,
-    ShardMap,
-    ShardedExecutor,
-)
+from .dist import DevicePool
 from .gpu.device import DeviceProfile, VirtualDevice
 from .runtime.cache import (
     CompiledProgram,
@@ -96,7 +89,6 @@ from .stats import (
 )
 from .serve import (
     AdmissionController,
-    ElasticController,
     LoadGenerator,
     MetricsRegistry,
     Outcome,
@@ -131,8 +123,6 @@ __all__ = [
     "DeviceOutOfMemory",
     "DevicePool",
     "DeviceProfile",
-    "ElasticController",
-    "HashPartitioner",
     "LoadGenerator",
     "MetricsRegistry",
     "Outcome",
@@ -140,7 +130,6 @@ __all__ = [
     "Scheduler",
     "ServeReport",
     "SLOClass",
-    "ShardedExecutor",
     "EvaluationTimeout",
     "ExecutionError",
     "ExecutionResult",
@@ -156,13 +145,10 @@ __all__ = [
     "RecoveryManager",
     "RelationStats",
     "RelationStream",
-    "ReshardPlan",
-    "ReshardPlanner",
     "ResolutionError",
     "RetractionUnsupportedError",
     "SessionError",
     "SessionReport",
-    "ShardMap",
     "SlidingWindow",
     "Span",
     "StaleViewError",

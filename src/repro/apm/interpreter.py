@@ -112,7 +112,7 @@ class ApmInterpreter:
         for index, stratum in enumerate(program.strata):
             span = self._start_stratum_span(index, stratum)
             self._charge_transfers(transfers.get(index, ()), database, to_device=True)
-            self.begin_stratum()
+            self._begin_stratum()
             self._run_stratum(stratum, database, program, incremental)
             self._charge_transfers(transfers.get(index, ()), database, to_device=False)
             self._finish_stratum_span(span)
@@ -179,7 +179,7 @@ class ApmInterpreter:
                 continue
             span = self._start_stratum_span(index, stratum)
             self._charge_transfers(transfers.get(index, ()), database, to_device=True)
-            self.begin_stratum()
+            self._begin_stratum()
             rederive_opened = None
             if self.tracer.enabled and self.trace_parent is not None:
                 rederive_span = self.tracer.start(
@@ -326,7 +326,7 @@ class ApmInterpreter:
                 doomed[name] = mask.copy()
                 newly[name] = mask
 
-        self.begin_stratum()
+        self._begin_stratum()
         all_preds = [p for stratum in program.strata for p in stratum.predicates]
         iteration = 0
         previous_frontier: set[str] = set()
@@ -428,9 +428,9 @@ class ApmInterpreter:
         self.tracer.finish(span, self.trace_clock())
         self.trace_parent = previous
 
-    def begin_stratum(self) -> None:
-        """The per-stratum reset protocol, shared with the sharded
-        executor (which drives strata itself): static hash indices are
+    def _begin_stratum(self) -> None:
+        """The per-stratum reset protocol (run, maintain and over-delete
+        all start strata through it): static hash indices are
         data-dependent (always reset); allocation sites persist across
         strata only under retention; retained-temporary accounting — the
         no-buffer-reuse failure mode — is per-stratum.

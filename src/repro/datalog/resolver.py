@@ -30,6 +30,9 @@ FLOAT = np.dtype(np.float64)
 
 _FLOAT_TYPE_NAMES = {"f32", "f64", "float", "Float"}
 _SYMBOL_TYPE_NAMES = {"String", "str", "Symbol", "string"}
+_INT_TYPE_NAMES = {
+    f"{sign}{width}" for sign in "iu" for width in (8, 16, 32, 64, 128)
+} | {"isize", "usize"}
 
 
 @dataclass
@@ -74,8 +77,10 @@ def resolve(program: ast.ProgramAst, symbols: SymbolTable | None = None) -> Reso
     aliases = _resolve_aliases(program.type_aliases)
     schemas: dict[str, tuple[np.dtype, ...]] = {}
     for decl in program.relation_decls:
-        dtypes = tuple(_dtype_of(aliases.get(t, t)) for t in decl.arg_types)
-        schemas[decl.name] = dtypes
+        schemas[decl.name] = tuple(
+            _dtype_of(aliases.get(t, t), decl.name, column)
+            for column, t in enumerate(decl.arg_types)
+        )
 
     flat = desugar_rules(program.rules)
     rules: list[ResolvedRule] = []
@@ -158,13 +163,17 @@ def _resolve_aliases(aliases: list[ast.TypeAlias]) -> dict[str, str]:
     return resolved
 
 
-def _dtype_of(type_name: str) -> np.dtype:
+def _dtype_of(type_name: str, relation: str, column: int) -> np.dtype:
     if type_name in _FLOAT_TYPE_NAMES:
         return FLOAT
-    if type_name in _SYMBOL_TYPE_NAMES:
+    if type_name in _SYMBOL_TYPE_NAMES or type_name in _INT_TYPE_NAMES:
+        # All integer widths live in int64 registers on the device.
         return INT
-    # All integer widths live in int64 registers on the device.
-    return INT
+    raise ResolutionError(
+        f"unknown type {type_name!r} for column {column} of relation "
+        f"{relation!r} (expected an integer width such as i32/u64/usize, "
+        f"a float or symbol type, or a declared alias)"
+    )
 
 
 def _intern(term: ast.Term, symbols: SymbolTable) -> ast.Term:

@@ -1,41 +1,10 @@
-"""Sharded multi-device execution (the scale-out layer).
+"""Device pools: many independent queries across several virtual devices.
 
-Five pieces compose the subsystem:
-
-* :mod:`~repro.dist.partition` — deterministic hash ownership of rows:
-  the classic :class:`HashPartitioner` and its skew-aware
-  generalization :class:`ShardMap` (per-predicate key columns, hot-key
-  split overrides);
-* :mod:`~repro.dist.exchange` — shuffle/all-gather collectives that
-  re-partition per-iteration deltas and charge the device cost model for
-  every cross-device byte (:class:`ExchangeOperator`);
-* :mod:`~repro.dist.executor` — the sharded semi-naive loop
-  (:class:`ShardedExecutor`), reached via ``LobsterEngine(shards=N)``,
-  including mid-run re-homing onto a new shard set
-  (:meth:`ShardedExecutor.apply_reshard`);
-* :mod:`~repro.dist.reshard` — the cost-gated :class:`ReshardPlanner`
-  that prices a stats-driven repartition (migration bytes vs. modeled
-  payback) and only migrates when payback beats shuffle cost;
-* :mod:`~repro.dist.pool` — round-robin device pools for throughput
-  serving of independent session queries (:class:`DevicePool`).
+:mod:`~repro.dist.pool` holds the :class:`DevicePool` — round-robin or
+least-loaded dispatch of independent session queries onto a fixed set of
+devices, the substrate the serving scheduler drains micro-batches over.
 """
 
-from .exchange import ExchangeOperator
-from .executor import ShardedExecutor, ShardView
-from .partition import HashPartitioner, ShardMap, hash_rows, reduce_hashes
 from .pool import DevicePool
-from .reshard import RelationLoad, ReshardPlan, ReshardPlanner
 
-__all__ = [
-    "DevicePool",
-    "ExchangeOperator",
-    "HashPartitioner",
-    "RelationLoad",
-    "ReshardPlan",
-    "ReshardPlanner",
-    "ShardMap",
-    "ShardView",
-    "ShardedExecutor",
-    "hash_rows",
-    "reduce_hashes",
-]
+__all__ = ["DevicePool"]

@@ -1,9 +1,7 @@
 """A pool of virtual devices for throughput serving.
 
-Where the :class:`~repro.dist.executor.ShardedExecutor` splits *one*
-query across N devices (latency scaling), a :class:`DevicePool` spreads
-*independent* queries across N devices (throughput scaling) — the
-serving-fleet pattern for a :class:`~repro.runtime.session.
+A :class:`DevicePool` spreads *independent* queries across N devices
+(throughput scaling) — the serving-fleet pattern for a :class:`~repro.runtime.session.
 LobsterSession` draining many databases, and the dispatch substrate of
 the :class:`~repro.serve.scheduler.Scheduler`.
 

@@ -32,14 +32,9 @@ DEFAULT_TRANSFER_LATENCY_S = 10e-6
 #: Simulated cost of a fresh device allocation (cudaMalloc-style latency);
 #: buffer reuse (§4.1) avoids it after the first fix-point iteration.
 ALLOC_LATENCY_S = 5e-6
-#: Device-to-device (NVLink-like) exchange model used by the sharded
-#: executor: faster than the host link, but every cross-shard byte is
-#: charged to the sending device.
-DEFAULT_EXCHANGE_BANDWIDTH_BYTES_PER_S = 25e9
-DEFAULT_EXCHANGE_LATENCY_S = 5e-6
 #: Modeled kernel cost: a fixed launch overhead plus a per-row term.
-#: This is the *simulated* compute clock the strong-scaling benchmarks
-#: read — counter accounting, never host wall time.
+#: This is the *simulated* compute clock — counter accounting, never
+#: host wall time.
 KERNEL_LAUNCH_S = 2e-6
 KERNEL_ROW_COST_S = 5e-10
 
@@ -60,12 +55,6 @@ class DeviceProfile:
     alloc_seconds: float = 0.0
     #: Modeled device compute time (launch overhead + per-row cost).
     kernel_seconds: float = 0.0
-    #: Device-to-device shuffle traffic (sharded execution): counted
-    #: separately from host<->device transfers so exchange cost can be
-    #: reported on its own in scale-out experiments.
-    exchange_transfers: int = 0
-    exchange_bytes: int = 0
-    exchange_seconds: float = 0.0
     instruction_counts: dict[str, int] = field(default_factory=dict)
 
     def record_instruction(self, name: str) -> None:
@@ -91,25 +80,19 @@ class DeviceProfile:
     @property
     def busy_seconds(self) -> float:
         """Modeled time this device spent occupied: kernels, host
-        transfers, exchange traffic, and allocation latency.  The
-        makespan of a multi-device run is the max of its shards'
-        ``busy_seconds`` (devices run concurrently in the simulation)."""
-        return (
-            self.kernel_seconds
-            + self.transfer_seconds
-            + self.exchange_seconds
-            + self.alloc_seconds
-        )
+        transfers and allocation latency.  The makespan of a device pool
+        is the max of its devices' ``busy_seconds`` (devices run
+        concurrently in the simulation)."""
+        return self.kernel_seconds + self.transfer_seconds + self.alloc_seconds
 
     def busy_breakdown(self) -> "dict[str, float]":
         """The additive components of :attr:`busy_seconds`, keyed for
         metrics export — the serving layer publishes these as per-device
         gauges so operators can see *why* a device is the bottleneck
-        (compute vs host transfers vs exchange vs allocation)."""
+        (compute vs host transfers vs allocation)."""
         return {
             "kernel_seconds": self.kernel_seconds,
             "transfer_seconds": self.transfer_seconds,
-            "exchange_seconds": self.exchange_seconds,
             "alloc_seconds": self.alloc_seconds,
         }
 
@@ -119,8 +102,7 @@ class DeviceProfile:
 
         Counters sum; ``peak_arena_bytes`` is a high-water mark, so the
         max is taken; ``instruction_counts`` merge per instruction.  Used
-        to roll per-shard (or per-pool-device) profiles up into one
-        fleet-wide view.
+        to roll per-pool-device profiles up into one fleet-wide view.
         """
         merged = cls()
         for profile in profiles:
@@ -181,33 +163,17 @@ class VirtualDevice:
         bandwidth_bytes_per_s: float = DEFAULT_BANDWIDTH_BYTES_PER_S,
         transfer_latency_s: float = DEFAULT_TRANSFER_LATENCY_S,
         reuse_buffers: bool = True,
-        exchange_bandwidth_bytes_per_s: float = DEFAULT_EXCHANGE_BANDWIDTH_BYTES_PER_S,
-        exchange_latency_s: float = DEFAULT_EXCHANGE_LATENCY_S,
     ):
         self.capacity_bytes = capacity_bytes
         self.bandwidth_bytes_per_s = bandwidth_bytes_per_s
         self.transfer_latency_s = transfer_latency_s
         self.reuse_buffers = reuse_buffers
-        self.exchange_bandwidth_bytes_per_s = exchange_bandwidth_bytes_per_s
-        self.exchange_latency_s = exchange_latency_s
         self.profile = DeviceProfile()
         self._live_bytes = 0
         # Free lists keyed by (dtype str, itemsize-rounded capacity).
         self._free_lists: dict[tuple[str, int], list[np.ndarray]] = {}
         # Static registers (hash indices reused across iterations, §4.2).
         self._statics: dict[object, object] = {}
-
-    def clone(self) -> "VirtualDevice":
-        """A fresh device (empty arena, zeroed profile) with this one's
-        capacity and cost-model parameters — how a shard pool grows."""
-        return VirtualDevice(
-            capacity_bytes=self.capacity_bytes,
-            bandwidth_bytes_per_s=self.bandwidth_bytes_per_s,
-            transfer_latency_s=self.transfer_latency_s,
-            reuse_buffers=self.reuse_buffers,
-            exchange_bandwidth_bytes_per_s=self.exchange_bandwidth_bytes_per_s,
-            exchange_latency_s=self.exchange_latency_s,
-        )
 
     # ------------------------------------------------------------------
     # Allocation
@@ -293,19 +259,6 @@ class VirtualDevice:
             self.profile.device_to_host_transfers += 1
         self.profile.transfer_bytes += nbytes
         self.profile.transfer_seconds += self.transfer_cost(nbytes)
-
-    # ------------------------------------------------------------------
-    # Device-to-device exchange model (sharded execution)
-
-    def exchange_cost(self, nbytes: int) -> float:
-        return self.exchange_latency_s + nbytes / self.exchange_bandwidth_bytes_per_s
-
-    def record_exchange(self, nbytes: int) -> None:
-        """Charge this device for shipping ``nbytes`` to a peer device.
-        Every cross-shard crossing is counted once, at the sender."""
-        self.profile.exchange_transfers += 1
-        self.profile.exchange_bytes += nbytes
-        self.profile.exchange_seconds += self.exchange_cost(nbytes)
 
     # ------------------------------------------------------------------
     # Kernel cost model

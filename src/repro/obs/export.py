@@ -12,7 +12,7 @@ same-seed runs export byte-identical JSON (the bench_obs gate).
 
 Tracks become threads: each distinct ``Span.track`` gets a ``tid`` in
 sorted-name order, announced by a ``thread_name`` metadata event, so
-per-device, per-shard, and per-request lanes render as parallel rows.
+per-device and per-request lanes render as parallel rows.
 """
 
 from __future__ import annotations

@@ -40,8 +40,8 @@ class Span:
     iteration counts, fallback reasons), and close it at the modeled end
     time.  ``kind`` is "span", "instant" (zero-duration markers) or
     "kernel" (per-instruction spans under ``Tracer(kernels=True)``);
-    ``track`` names the parallel resource the span occupies (a device, a
-    shard, a request lane) for the exporter's thread lanes.
+    ``track`` names the parallel resource the span occupies (a device or
+    a request lane) for the exporter's thread lanes.
     """
 
     __slots__ = (

@@ -8,8 +8,7 @@ repo's benchmark workloads from machinery that already exists — the
 the modeled :class:`~repro.gpu.device.DeviceProfile` clocks — and
 renders it into the versioned markdown summary, so a reader can check
 the suite spans selective and explosive joins, uniform and skewed keys,
-shallow and deep recursion, and exchange-light and exchange-heavy
-sharding.
+and shallow and deep recursion.
 
 Per workload (all on fixed seeds, so the report is deterministic and the
 tests pin it):
@@ -21,9 +20,7 @@ tests pin it):
 * ``probe_amplification`` — Probe rows / EDB rows: join fan-out
   relative to the input (explosiveness);
 * ``key_skew`` — max over EDB columns of the CMS heavy-hitter fraction
-  (:meth:`~repro.stats.relation_stats.ColumnStats.skew`);
-* ``exchange_fraction`` — exchange seconds / busy seconds on a 2-shard
-  run (how much scale-out pays in shuffle).
+  (:meth:`~repro.stats.relation_stats.ColumnStats.skew`).
 """
 
 from __future__ import annotations
@@ -132,7 +129,6 @@ class WorkloadCharacter:
     join_selectivity: float
     probe_amplification: float
     key_skew: float
-    exchange_fraction: float
 
     def to_dict(self) -> dict:
         return {
@@ -143,7 +139,6 @@ class WorkloadCharacter:
             "join_selectivity": round(self.join_selectivity, 6),
             "probe_amplification": round(self.probe_amplification, 6),
             "key_skew": round(self.key_skew, 6),
-            "exchange_fraction": round(self.exchange_fraction, 6),
         }
 
 
@@ -155,13 +150,12 @@ def _populate(engine, facts):
 
 
 def characterize_one(name, source, query, facts) -> WorkloadCharacter:
-    """Characterize one workload with two cheap runs: an adaptive
-    single-device run (feedback + sketches) and a 2-shard run (exchange)."""
+    """Characterize one workload with one cheap adaptive run: plan
+    feedback cardinalities plus the catalog's sketches."""
     from .. import LobsterEngine
 
     edb_rows = sum(len(rows) for rows in facts.values())
 
-    # -- adaptive run: feedback cardinalities + catalog sketches --------
     engine = LobsterEngine(source, provenance="unit", adaptive=True)
     db = _populate(engine, facts)
     result = engine.run(db)
@@ -178,12 +172,6 @@ def characterize_one(name, source, query, facts) -> WorkloadCharacter:
         for column in stats.columns:
             skew = max(skew, column.skew())
 
-    # -- sharded run: what fraction of modeled time is exchange --------
-    sharded = LobsterEngine(source, provenance="unit", shards=2)
-    sharded_result = sharded.run(_populate(sharded, facts))
-    busy = sharded_result.profile.busy_seconds
-    exchange = sharded_result.profile.exchange_seconds
-
     return WorkloadCharacter(
         workload=name,
         edb_rows=edb_rows,
@@ -192,7 +180,6 @@ def characterize_one(name, source, query, facts) -> WorkloadCharacter:
         join_selectivity=store / probe if probe else 0.0,
         probe_amplification=probe / edb_rows if edb_rows else 0.0,
         key_skew=skew,
-        exchange_fraction=exchange / busy if busy else 0.0,
     )
 
 
@@ -211,14 +198,13 @@ def render_markdown(characters: list[WorkloadCharacter]) -> list[str]:
     """The characterization table for the versioned summary."""
     lines = [
         "| workload | EDB rows | IDB rows | iters | join sel. | "
-        "probe ampl. | key skew | exch. frac |",
-        "|---|---|---|---|---|---|---|---|",
+        "probe ampl. | key skew |",
+        "|---|---|---|---|---|---|---|",
     ]
     for ch in characters:
         lines.append(
             f"| {ch.workload} | {ch.edb_rows} | {ch.idb_rows} | "
             f"{ch.iterations} | {ch.join_selectivity:.3f} | "
-            f"{ch.probe_amplification:.2f} | {ch.key_skew:.3f} | "
-            f"{ch.exchange_fraction:.3f} |"
+            f"{ch.probe_amplification:.2f} | {ch.key_skew:.3f} |"
         )
     return lines

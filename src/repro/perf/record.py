@@ -49,11 +49,9 @@ SCHEMA_VERSION = 1
 KNOWN_METRICS = (
     "busy_seconds",
     "kernel_seconds",
-    "exchange_seconds",
     "transfer_seconds",
     "alloc_seconds",
     "kernel_launches",
-    "exchange_bytes",
 )
 
 #: Units a benchmark's samples may be measured in.  ``s`` is host wall
@@ -98,7 +96,7 @@ class BenchmarkResult:
     #: Modeled DeviceProfile counters for the measured run (see
     #: KNOWN_METRICS); deterministic, so they gate across machines.
     metrics: dict[str, float] = field(default_factory=dict)
-    #: Free-form scalar context (rows, shards, provenance, ...).
+    #: Free-form scalar context (rows, provenance, ...).
     attrs: dict = field(default_factory=dict)
 
     @property

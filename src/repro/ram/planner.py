@@ -117,7 +117,7 @@ class RulePlan:
     #: Estimated rows one full evaluation of the body produces (None for
     #: the zero-statistics fallback — nothing was estimated).
     estimated_rows: float | None = None
-    #: Estimated total plan cost in tuple units, exchange included.
+    #: Estimated total plan cost in tuple units.
     estimated_cost: float | None = None
     #: Whether statistics actually drove the ordering.
     used_stats: bool = False
@@ -258,7 +258,6 @@ def _walk_cost(
         cost += model.join_cost(binding.rows, side.rows, out.rows)
         bound |= var_sets[index]
         binding = _apply_ready(out, comparisons, bound, applied)
-    cost += model.exchange_cost(binding.rows)
     return binding.rows, cost
 
 
@@ -298,12 +297,6 @@ def _plan_dp(
                 shared = sorted(bound & var_sets[j])
                 out = join_bindings(binding, bindings[j], shared)
                 step = model.join_cost(binding.rows, bindings[j].rows, out.rows)
-                if len(subset) + 1 == n:
-                    # Completing extension: price the finished body's
-                    # exchange (shuffle + all-gather of its output) so
-                    # orders whose estimates materialize a wider final
-                    # delta lose to tighter ones on sharded engines.
-                    step += model.exchange_cost(out.rows)
                 # Comparisons ready under the *prior* bound set were all
                 # applied while this state was built (every step applies
                 # everything ready), so reconstructing the applied set

@@ -31,6 +31,8 @@ and retractions.
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 
 from .relation import StoredRelation
@@ -39,27 +41,52 @@ from ..errors import FactError, ResolutionError
 from ..provenance.base import Provenance
 from ..stats.relation_stats import RelationStats, StatsCatalog
 
-#: Cell types :func:`_checked_rows` accepts on an exact-type test (one C
-#: call per row); other numeric scalars pass the slower isinstance test.
-_PLAIN_CELLS = frozenset({int, float, bool, np.int64, np.float64})
-_NUMERIC_CELLS = (int, float, np.integer, np.floating, np.bool_)
+_INT64_MIN = int(np.iinfo(np.int64).min)
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def _checked_rows(name: str, rows, arity: int | None) -> list[tuple]:
-    """``rows`` as tuples of ``arity`` numeric cells each (``arity`` None:
-    the first row's length, for a relation with no schema yet), or a
-    :class:`FactError` naming the first row that is not."""
+def _cell_problem(cells: tuple, kinds: tuple[str, ...] | None) -> str | None:
+    """Why one row's cells do not fit columns of dtype ``kinds`` (None:
+    not declared yet — any numeric cell fits), or None if they do."""
+    for column, cell in enumerate(cells):
+        if isinstance(cell, (int, np.integer, np.bool_)):
+            if not _INT64_MIN <= cell <= _INT64_MAX:
+                return f"column {column} holds {cell!r}, outside int64"
+        elif isinstance(cell, (float, np.floating)):
+            if kinds is not None and kinds[column] == "i":
+                return f"column {column} is an integer column but holds {cell!r}"
+        else:
+            return f"column {column} holds non-numeric {cell!r}"
+    return None
 
-    def misfit(index, row):
+
+def _checked_rows(name: str, rows, schema: tuple[np.dtype, ...] | None) -> list[tuple]:
+    """``rows`` as tuples of numeric cells fitting ``schema`` (None: the
+    first row's length, for a relation with no schema yet), or a
+    :class:`FactError` naming the first row (and column) that is not:
+    a wrong arity, a non-numeric cell, a float into an integer column,
+    or an integer outside int64."""
+    arity = None if schema is None else len(schema)
+    kinds = None if schema is None else tuple(dt.kind for dt in schema)
+
+    def misfit(index, row, problem=None):
+        detail = f"row {index} is {row!r}" + (f": {problem}" if problem else "")
         return FactError(
-            f"relation {name!r} takes rows of {arity} numeric cells; "
-            f"row {index} is {row!r}"
+            f"relation {name!r} takes rows of {arity} numeric cells; {detail}"
         )
 
     if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind in "biuf":
-        # A numeric array: one shape test covers every row.
+        # A numeric array: one shape and dtype-kind test covers every row.
         if len(rows) and arity is not None and rows.shape[1] != arity:
             raise misfit(0, tuple(rows[0]))
+        if len(rows) and rows.dtype.kind == "f" and "i" in (kinds or ()):
+            raise misfit(
+                0, tuple(rows[0]), f"column {kinds.index('i')} is an integer "
+                f"column but the array is {rows.dtype}"
+            )
+        if rows.dtype == np.uint64 and len(rows) and rows.max() > _INT64_MAX:
+            index = int(np.argmax(rows.max(axis=1) > _INT64_MAX))
+            raise misfit(index, tuple(rows[index]), "a cell is outside int64")
         return [tuple(row) for row in rows]
     checked = []
     for index, row in enumerate(rows):
@@ -69,11 +96,15 @@ def _checked_rows(name: str, rows, arity: int | None) -> list[tuple]:
             raise misfit(index, row) from None
         if arity is None:
             arity = len(cells)
-        if len(cells) != arity or not (
-            _PLAIN_CELLS.issuperset(map(type, cells))
-            or all(isinstance(cell, _NUMERIC_CELLS) for cell in cells)
-        ):
+        if len(cells) != arity:
             raise misfit(index, row)
+        try:
+            # One C call: every cell an integer inside int64.
+            array("q", cells)
+        except (TypeError, OverflowError):
+            problem = _cell_problem(cells, kinds)
+            if problem is not None:
+                raise misfit(index, row, problem) from None
         checked.append(cells)
     return checked
 
@@ -174,7 +205,7 @@ class Database:
         if schema is None and len(rows) == 0:
             # Undeclared and no row to infer a schema from: nothing to store.
             return np.full(0, -1, dtype=np.int64)
-        rows = _checked_rows(name, rows, None if schema is None else len(schema))
+        rows = _checked_rows(name, rows, schema)
         if schema is None:
             self.schemas[name] = self._infer_schema(rows)
         self.version += 1

@@ -26,11 +26,10 @@ Every run takes **one path** above the fix-point loop.
 or ``maintain`` — from one requirement table (:data:`MODE_REQUIREMENTS`):
 a mode whose required properties do not all hold falls back to a rebuild
 and cold rerun, or raises if it was requested explicitly.
-:meth:`LobsterEngine._execute` then runs the plan over a list of *lanes*,
-one interpreter per device — the caller's warm one (sessions, pools), a
-fresh one on ``engine.device``, or the sharded executor's per-shard set —
-with one attach/detach of feedback and tracer hooks and one profile
-accounting.  A single device is the one-lane case.
+:meth:`LobsterEngine._execute` then runs the plan on one interpreter —
+the caller's warm one (sessions, pools) or a fresh one on
+``engine.device`` — with one attach/detach of feedback and tracer hooks
+and one profile accounting.
 
 Example
 -------
@@ -69,7 +68,6 @@ from ..gpu.device import DeviceProfile, VirtualDevice
 from ..obs import NULL_TRACER, Tracer
 from ..provenance import registry
 from ..provenance.base import Provenance
-from ..stats.estimate import CostModel
 from ..stats.feedback import PlanFeedback
 
 __all__ = [
@@ -116,12 +114,6 @@ class ExecutionResult:
     #: recompute (retractions applied to the fact log + cold rerun)
     #: instead of maintaining in place; None when no fallback happened.
     maintain_fallback: str | None = None
-    #: Number of device shards this run actually executed on (1 when the
-    #: engine is single-device or fell back, e.g. for negation).
-    shards: int = 1
-    #: Per-shard device profiles for a sharded run (``profile`` is their
-    #: counter-wise :meth:`~repro.gpu.device.DeviceProfile.merge`).
-    shard_profiles: list[DeviceProfile] | None = None
     #: Observed-vs-estimated cardinalities for this run (adaptive
     #: engines; None when feedback collection was off).
     feedback: PlanFeedback | None = None
@@ -136,19 +128,11 @@ class ExecutionResult:
         return self.wall_seconds + self.simulated_overhead_seconds
 
     @property
-    def simulated_parallel_seconds(self) -> float:
-        """Modeled steady-state makespan: shards run concurrently, so the
-        slowest device's :attr:`~repro.gpu.device.DeviceProfile.busy_seconds`
-        (kernels + transfers + exchange + allocation latency) bounds the
-        run.  For single-device runs this is just the device's busy time.
-        """
-        profiles = self.shard_profiles or [self.profile]
-        return max(profile.busy_seconds for profile in profiles)
-
-    @property
     def service_seconds(self) -> float:
         """What this run costs on the serving clock: the modeled time
-        the device (or, sharded, the busiest shard) was occupied by it.
+        the device was occupied by it
+        (:attr:`~repro.gpu.device.DeviceProfile.busy_seconds` — kernels +
+        transfers + allocation latency).
 
         This is the quantity the online scheduler charges per request —
         a device that just served a run is busy for ``service_seconds``
@@ -157,7 +141,7 @@ class ExecutionResult:
         deterministic for a given program and input, which is what makes
         serving latency distributions replayable.
         """
-        return self.simulated_parallel_seconds
+        return self.profile.busy_seconds
 
     def __repr__(self) -> str:  # compile-vs-run split at a glance
         compile_part = (
@@ -166,8 +150,6 @@ class ExecutionResult:
         mode = ", incremental" if self.incremental else ""
         if self.maintained:
             mode += ", maintained"
-        if self.shards > 1:
-            mode += f", shards={self.shards}"
         return (
             f"ExecutionResult(compile={compile_part}, "
             f"run={self.wall_seconds:.6f}s, "
@@ -197,22 +179,16 @@ NEGATION_FREE = Requirement(
     "program uses stratified negation (a delta can flip negated "
     "conclusions, which delta-seeding and over-delete/re-derive cannot express)",
 )
-SINGLE_LANE = Requirement(
-    "single lane",
-    lambda engine, database: not engine._use_sharded(),
-    "sharded engines rebuild and rerun from scratch (the replicated "
-    "closure tracks no per-shard changed or doom masks)",
-)
 
-#: The requirement table — the one place ⊕-idempotence, negation and
-#: shard count are combined.  A run takes a mode only when every property
+#: The requirement table — the one place ⊕-idempotence and negation are
+#: combined.  A run takes a mode only when every property
 #: its row names holds; otherwise it falls back to ``cold`` and the first
 #: missing property supplies the reason.  ``supports_incremental``,
 #: ``supports_maintain`` and ``_resolve`` read it; docs/architecture.md renders it.
 MODE_REQUIREMENTS: dict[str, tuple[Requirement, ...]] = {
     "cold": (),
-    "incremental": (IDEMPOTENT, NEGATION_FREE, SINGLE_LANE),
-    "maintain": (IDEMPOTENT, NEGATION_FREE, SINGLE_LANE),
+    "incremental": (IDEMPOTENT, NEGATION_FREE),
+    "maintain": (IDEMPOTENT, NEGATION_FREE),
 }
 
 
@@ -228,9 +204,6 @@ class LobsterEngine:
         batched: bool = False,
         max_iterations: int = DEFAULT_MAX_ITERATIONS,
         cache: ProgramCache | None | bool = None,
-        shards: int = 1,
-        shard_devices: list[VirtualDevice] | None = None,
-        shard_map=None,
         adaptive: bool = False,
         replan_drift: float = 8.0,
         tracing: bool | Tracer = False,
@@ -239,18 +212,6 @@ class LobsterEngine:
         """``cache=None`` (default) uses the process-wide program cache;
         pass a :class:`ProgramCache` to scope reuse, or ``False`` to
         force a fresh compilation.
-
-        ``shards=N`` (N > 1) executes every run across a pool of N
-        virtual devices through :class:`~repro.dist.ShardedExecutor`:
-        hash-partitioned frontiers, owner-merged deltas, exchange-charged
-        cross-device traffic.  Results are identical to a single-device
-        run; programs with negation transparently fall back to the
-        single device.  ``shard_devices`` supplies the pool explicitly
-        (its length overrides ``shards``).  ``shard_map`` (a
-        :class:`~repro.dist.ShardMap`) customizes row ownership —
-        per-predicate key columns and hot-key split overrides — and
-        implies the shard count; :meth:`reshard` swaps it between runs
-        (the elastic serving path's entry point).
 
         ``adaptive=True`` turns on statistics-driven re-planning: every
         run snapshots the database's stats catalog, fetches (or compiles)
@@ -266,7 +227,7 @@ class LobsterEngine:
 
         ``tracing=True`` (or a :class:`~repro.obs.Tracer`) collects span
         timelines for every run on the modeled clocks — plan selection,
-        strata, iterations, variants, shard exchanges — exportable via
+        strata, iterations, variants — exportable via
         :meth:`~repro.obs.Tracer.export_perfetto`.  Tracing never
         charges the device, so traced results are bitwise identical to
         untraced ones.
@@ -341,51 +302,12 @@ class LobsterEngine:
         self.ram = compiled.ram
         self.apm: ApmProgram = compiled.apm
         self._batch_fact_rows = compiled.batch_fact_rows
-        if shard_map is not None:
-            if shard_devices is not None and shard_map.n_shards != len(shard_devices):
-                raise LobsterError(
-                    f"shard_map covers {shard_map.n_shards} shards but "
-                    f"{len(shard_devices)} shard_devices were supplied"
-                )
-            if shards > 1 and shard_map.n_shards != shards:
-                raise LobsterError(
-                    f"shard_map covers {shard_map.n_shards} shards but "
-                    f"shards={shards} was requested"
-                )
-            shards = shard_map.n_shards
-        self.shard_map = shard_map
-        if device is not None and shard_devices is not None:
-            raise LobsterError(
-                "pass either device= (single-device) or shard_devices= "
-                "(sharded pool), not both"
-            )
-        if device is not None and shards > 1:
-            raise LobsterError(
-                "a sharded engine runs on its shard pool, so device= would "
-                "be silently ignored; configure the pool via shard_devices="
-            )
         self.device = device or VirtualDevice(
             reuse_buffers=self.optimizations.buffer_reuse
         )
-        if shard_devices is not None:
-            shards = len(shard_devices)
-        if shards < 1:
-            raise LobsterError(f"shards must be >= 1, got {shards}")
-        self.shards = shards
-        self.shard_devices: list[VirtualDevice] = list(shard_devices or [])
-        if shards == 1 and self.shard_devices:
-            # A one-device "pool" degenerates to single-device execution
-            # on the supplied device (not a silently ignored config).
-            self.device = self.shard_devices[0]
-        if shards > 1 and not self.shard_devices:
-            self.shard_devices = [
-                VirtualDevice(reuse_buffers=self.optimizations.buffer_reuse)
-                for _ in range(shards)
-            ]
-        self._sharded_executor = None
-        #: Serializes session drains over this engine's device(s) — held
+        #: Serializes session drains over this engine's device — held
         #: by every LobsterSession.run_all targeting this engine, so two
-        #: sessions sharing one engine cannot interleave on its devices.
+        #: sessions sharing one engine cannot interleave on its device.
         self._drain_lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -455,39 +377,6 @@ class LobsterEngine:
         reason = self._missing("maintain", database)
         return reason is None, reason
 
-    def _use_sharded(self) -> bool:
-        """Whether runs go through the sharded executor (never a negated
-        program's: negation is only sound against complete relations)."""
-        return self.shards > 1 and not self.apm.has_negation
-
-    def reshard(self, shard_map) -> None:
-        """Adopt a new shard layout for subsequent runs.
-
-        The elastic serving path calls this between micro-batches once
-        the :class:`~repro.dist.ReshardPlanner` decides a migration pays
-        for itself.  The device pool is resized to match — existing
-        shard devices are kept (their profiles are the serving layer's
-        accounting surface), growth appends fresh devices, shrink drops
-        the suffix — and the cached sharded executor is discarded so the
-        next run rebuilds its replicas under the new map.  Because
-        sharded runs always rebuild from the fact log, the swap needs no
-        state migration here; the *modeled* migration cost is charged by
-        the planner's accounting where the decision is made.
-
-        Resharding to one shard degenerates to single-device execution
-        on the engine's ``device``, matching the constructor's contract.
-        """
-        n = shard_map.n_shards
-        if n < 1:
-            raise LobsterError(f"shard_map must cover >= 1 shard, got {n}")
-        template = self.shard_devices[0] if self.shard_devices else self.device
-        while len(self.shard_devices) < n:
-            self.shard_devices.append(template.clone())
-        del self.shard_devices[n:]
-        self.shards = n
-        self.shard_map = shard_map
-        self._sharded_executor = None
-
     def _select_plan(self, database: Database) -> CompiledProgram:
         """The artifact this run executes: the engine's compile-time plan
         or, adaptive, the cost-based plan for the database's current
@@ -502,16 +391,12 @@ class LobsterEngine:
         catalog = database.stats_catalog()
         if not catalog:
             return self.compiled
-        cost_model = CostModel.for_shards(
-            self.shards if self._use_sharded() else 1
-        )
         compiled, _hit = self._program_cache.get_or_compile(
             self.source,
             self.provenance_name,
             self.optimizations,
             self.batched,
             stats=catalog,
-            cost_model=cost_model,
         )
         return compiled
 
@@ -577,7 +462,7 @@ class LobsterEngine:
             self._last_plan_key = active.key
         # Resolved before the span opens: a refused request never ran.
         mode, fallback = self._resolve(database, incremental, maintain)
-        lanes, executor = self._lanes(_interpreter)
+        interpreter = _interpreter or self._make_interpreter(self.device)
         run_span = None
         if run_tracer.enabled:
             run_span = run_tracer.start(
@@ -596,8 +481,7 @@ class LobsterEngine:
             active.apm,
             database,
             mode,
-            lanes,
-            executor,
+            interpreter,
             reset_profile=reset_profile,
             feedback=feedback,
             tracer=run_tracer,
@@ -640,7 +524,6 @@ class LobsterEngine:
                 iterations=result.iterations,
                 incremental=result.incremental,
                 maintained=result.maintained,
-                shards=result.shards,
             )
             if result.maintain_fallback is not None:
                 run_span.attrs["maintain_fallback"] = result.maintain_fallback
@@ -711,116 +594,70 @@ class LobsterEngine:
             retain_allocation_sites=warm and self.optimizations.buffer_reuse,
         )
 
-    def _lanes(self, interpreter: ApmInterpreter | None):
-        """``(lanes, executor)`` for one run: the interpreters it executes
-        on — the caller's warm one, a fresh one on ``self.device``, or
-        the sharded executor's per-shard set — and that executor (None
-        on a single lane)."""
-        if interpreter is not None or not self._use_sharded():
-            return [interpreter or self._make_interpreter(self.device)], None
-        if self._sharded_executor is None:
-            from ..dist.executor import ShardedExecutor
-
-            self._sharded_executor = ShardedExecutor(
-                self.shard_devices,
-                enable_static_reuse=self.optimizations.static_indices,
-                enable_buffer_reuse=self.optimizations.buffer_reuse,
-                enable_stratum_scheduling=self.optimizations.stratum_scheduling,
-                max_iterations=self.max_iterations,
-                shard_map=self.shard_map,
-            )
-        # The executor's own list: a mid-run reshard resizes it in place.
-        return self._sharded_executor.interpreters, self._sharded_executor
-
     def _execute(
         self,
         apm: ApmProgram,
         database: Database,
         mode: str,
-        lanes: list[ApmInterpreter],
-        executor,
+        interpreter: ApmInterpreter,
         *,
         reset_profile: bool,
         feedback: PlanFeedback | None,
         tracer,
         run_span,
     ) -> ExecutionResult:
-        """Run ``apm`` in the resolved ``mode`` over ``lanes`` (one per
-        device; ``executor`` drives them when there are several) and
-        account the run: per-lane profile deltas, merged counters, the
-        :class:`ExecutionResult`."""
+        """Run ``apm`` in the resolved ``mode`` on ``interpreter`` and
+        account the run: the profile delta and the :class:`ExecutionResult`."""
+        profile = interpreter.device.profile
         if reset_profile:
-            for lane in lanes:
-                lane.device.profile.reset()
-        befores = [lane.device.profile.snapshot() for lane in lanes]
-        counter = executor if executor is not None else lanes[0]
-        iterations_before = counter.iterations_run
-        lane_spans = []  # per traced lane, the span its interior spans nest under
-        for shard, lane in enumerate(lanes):
-            # (The sharded executor swaps in per-shard feedbacks it sums back.)
-            lane.feedback = feedback
-            if run_span is not None:
-                # Interior spans (strata, iterations, variants) timestamp
-                # themselves off the lane's device busy clock, anchored
-                # at the run span's start; shards execute concurrently
-                # in the model, each under its own "shard" lane span.
-                lane.tracer = tracer
-                lane.trace_parent = run_span
-                if executor is not None:
-                    lane.trace_parent = tracer.start(
-                        "shard", parent=run_span, track=f"shard{shard}", shard=shard
-                    )
-                lane_spans.append(lane.trace_parent)
-                lane.trace_clock = tracer.device_clock(lane.device)
+            profile.reset()
+        before = profile.snapshot()
+        iterations_before = interpreter.iterations_run
+        interpreter.feedback = feedback
+        if run_span is not None:
+            # Interior spans (strata, iterations, variants) timestamp
+            # themselves off the device busy clock, anchored at the run
+            # span's start.
+            interpreter.tracer = tracer
+            interpreter.trace_parent = run_span
+            interpreter.trace_clock = tracer.device_clock(interpreter.device)
         start = time.perf_counter()
         try:
-            if executor is not None:
-                executor.run(apm, database, feedback=feedback)
-            elif mode == "maintain":
-                lanes[0].maintain(apm, database)
+            if mode == "maintain":
+                interpreter.maintain(apm, database)
             else:
-                lanes[0].run(apm, database, incremental=mode == "incremental")
+                interpreter.run(apm, database, incremental=mode == "incremental")
         except BaseException as error:
             if run_span is not None:
-                # A failed run closes whatever each lane left open at that
-                # lane's clock, and its own span at the busiest lane's.
-                for lane, lane_span in zip(lanes, lane_spans):
-                    tracer.finish_open(lane_span, lane.trace_clock())
-                end = max(lane.trace_clock() for lane in lanes)
+                # A failed run closes whatever it left open, and its own
+                # span, at the device clock.
+                end = interpreter.trace_clock()
+                tracer.finish_open(run_span, end)
                 run_span.attrs["error"] = type(error).__name__
                 tracer.finish(run_span, end)
                 tracer.set_time(end)
             raise
         finally:
-            if executor is not None:
-                for lane, lane_span in zip(lanes, lane_spans):
-                    tracer.finish(lane_span, lane.trace_clock())
-            for lane in lanes:
-                lane.feedback = None
-                lane.tracer = NULL_TRACER
-                lane.trace_clock = lane.trace_parent = None
+            interpreter.feedback = None
+            interpreter.tracer = NULL_TRACER
+            interpreter.trace_clock = interpreter.trace_parent = None
         wall = time.perf_counter() - start
         database.evaluated = True
-        # The result always carries its own per-run counter copies — the
-        # live device profiles are reset by the next run on this engine.
-        profiles = [lane.device.profile.since(b) for lane, b in zip(lanes, befores)]
-        profile = profiles[0] if executor is None else DeviceProfile.merge(profiles)
-        overhead = (
-            profile.transfer_seconds
-            + profile.exchange_seconds
-            + (0.0 if self.optimizations.buffer_reuse else profile.alloc_seconds)
+        # The result always carries its own per-run counter copy — the
+        # live device profile is reset by the next run on this engine.
+        profile = profile.since(before)
+        overhead = profile.transfer_seconds + (
+            0.0 if self.optimizations.buffer_reuse else profile.alloc_seconds
         )
         return ExecutionResult(
             wall,
             overhead,
-            counter.iterations_run - iterations_before,
+            interpreter.iterations_run - iterations_before,
             profile,
             compile_seconds=self.compile_seconds,
             program_from_cache=self.cache_hit,
             incremental=mode == "incremental",
             maintained=mode == "maintain",
-            shards=self.shards if executor is not None else 1,
-            shard_profiles=profiles if executor is not None else None,
         )
 
     # ------------------------------------------------------------------

@@ -33,8 +33,8 @@ from ..stats.relation_stats import RelationStats
 
 def dedup_table(delta: Table, provenance: Provenance) -> Table:
     """Sort + unique⟨⊕⟩ a delta table (the APM ``sort``/``unique⟨⊕⟩``
-    sequence), standalone so callers outside a :class:`StoredRelation` —
-    notably the sharded executor's owner-side merge — can share it."""
+    sequence) — the step :meth:`StoredRelation.advance` runs on every
+    delta before merging it."""
     if delta.arity == 0:
         if delta.n_rows == 0:
             return delta

@@ -78,8 +78,7 @@ class SessionReport:
     #: counter-wise :meth:`DeviceProfile.merge` of ``device_profiles``.
     profile: DeviceProfile | None = None
     #: Number of devices the drain used (1 = the engine's own device;
-    #: >1 = a :class:`~repro.dist.pool.DevicePool` round-robin, or the
-    #: shard devices of a ``shards=N`` engine).
+    #: >1 = a :class:`~repro.dist.pool.DevicePool` round-robin).
     pool_size: int = 1
     #: Per-device profile deltas for this drain, pool order.
     device_profiles: list[DeviceProfile] = field(default_factory=list)
@@ -102,7 +101,7 @@ class SessionReport:
         )
 
     @property
-    def simulated_parallel_seconds(self) -> float:
+    def makespan_seconds(self) -> float:
         """Modeled makespan of the drain: pool devices serve queries
         concurrently, so the busiest device bounds the batch."""
         if not self.device_profiles:
@@ -140,12 +139,6 @@ class LobsterSession:
         scheduler passes its serve-clock tracer here so engine-run spans
         nest under the micro-batch spans.  ``None`` defers to whatever
         the engine was constructed with."""
-        if pool is not None and engine._use_sharded():
-            raise LobsterError(
-                "pick one scaling axis per session: a sharded engine splits "
-                "each query across its shard devices, a DevicePool spreads "
-                "queries across devices — not both"
-            )
         self.engine = engine
         self.pool = pool
         self.metrics = metrics
@@ -160,14 +153,10 @@ class LobsterSession:
         # One warm interpreter (*lane*) per device for the whole session:
         # allocation sites stay warm across queries (buffer reuse across
         # the batch); data-dependent state (static hash indices) still
-        # resets per stratum.  A sharded engine brings its own per-shard
-        # lanes, so the session holds none.
-        if engine._use_sharded():
-            devices = []
-        else:
-            devices = pool.devices if pool else [engine.device]
+        # resets per stratum.
         self._interpreters = [
-            engine._make_interpreter(device, warm=True) for device in devices
+            engine._make_interpreter(device, warm=True)
+            for device in (pool.devices if pool else [engine.device])
         ]
 
     # ------------------------------------------------------------------
@@ -238,14 +227,7 @@ class LobsterSession:
         """
         with self._run_lock:
             engine = self.engine
-            # The live engine decides, as in _lane: it may have been
-            # resharded since this session built its lanes.
-            if engine._use_sharded():
-                devices = engine.shard_devices
-            else:
-                devices = [lane.device for lane in self._interpreters] or [
-                    engine.device
-                ]
+            devices = [lane.device for lane in self._interpreters]
             for device in devices:
                 device.profile.reset()
             befores = [device.profile.snapshot() for device in devices]
@@ -263,21 +245,9 @@ class LobsterSession:
             report.profile = DeviceProfile.merge(report.device_profiles)
             return report
 
-    def _lane(self, device_index: int | None) -> ApmInterpreter | None:
+    def _lane(self, device_index: int | None) -> ApmInterpreter:
         """The warm interpreter a query runs on: the pool device at
-        ``device_index`` (``None`` acquires one), or the engine device's.
-        ``None`` leaves the lanes to the engine — a sharded engine splits
-        every query across its own per-shard set.  The *live* engine is
-        asked first: ``reshard`` may have grown it past one device since
-        the session was built."""
-        if self.engine._use_sharded():
-            if device_index is not None:
-                raise LobsterError(
-                    "a sharded engine runs every query across its own "
-                    "shard pool; device_index only applies to "
-                    "DevicePool sessions"
-                )
-            return None
+        ``device_index`` (``None`` acquires one), or the engine device's."""
         if self.pool is not None:
             if device_index is None:
                 device_index, _ = self.pool.acquire()
@@ -292,9 +262,7 @@ class LobsterSession:
                 "this session has no DevicePool; only "
                 "device_index=None (or 0) is valid"
             )
-        # (No lane either when the engine was sharded at construction and
-        # has since been resharded down to one device.)
-        return self._interpreters[0] if self._interpreters else None
+        return self._interpreters[0]
 
     def run_batch(
         self,
@@ -352,12 +320,11 @@ class LobsterSession:
     def _execute(
         self,
         query: SubmittedQuery,
-        interpreter: ApmInterpreter | None,
+        interpreter: ApmInterpreter,
         span_parent=None,
     ) -> ExecutionResult:
-        """Run one query on ``interpreter`` (``None`` = the engine's own
-        lanes), recording metrics if a registry is attached.  Caller
-        holds the drain lock."""
+        """Run one query on ``interpreter``, recording metrics if a
+        registry is attached.  Caller holds the drain lock."""
         result = self.engine.run(
             query.database,
             reset_profile=False,

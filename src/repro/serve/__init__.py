@@ -1,10 +1,10 @@
 """The online serving front-end.
 
 Where :class:`~repro.runtime.session.LobsterSession` drains an offline
-batch and :mod:`repro.dist` scales one query across devices, ``serve/``
+batch over one device or a :class:`~repro.dist.DevicePool`, ``serve/``
 adds the missing *online* layer: requests arrive over time, carry
 latency objectives, and the system must decide what to run, coalesce,
-or refuse.  Five pieces compose it:
+or refuse.  Six pieces compose it:
 
 * :mod:`~repro.serve.request` — :class:`Request`\\ s in
   :class:`SLOClass`\\ es (``interactive`` / ``batch``), each ending in
@@ -16,11 +16,6 @@ or refuse.  Five pieces compose it:
 * :mod:`~repro.serve.scheduler` — the clock-driven event loop
   dispatching micro-batches onto the least-loaded pool device through
   warm per-program sessions;
-* :mod:`~repro.serve.elastic` — the :class:`ElasticController`: between
-  micro-batches it observes served databases for key skew, prices a
-  repartition via the :class:`~repro.dist.ReshardPlanner`, and
-  grows/shrinks its managed engine's shard set (or splits hot keys)
-  when the payback beats the migration cost;
 * :mod:`~repro.serve.loadgen` / :mod:`~repro.serve.metrics` — seeded
   Poisson/bursty open-loop arrivals, and the counter/gauge/histogram
   registry every layer reports into;
@@ -35,7 +30,6 @@ latency distribution is deterministic and testable.
 """
 
 from .admission import AdmissionController, ServiceEstimator
-from .elastic import ElasticController
 from .loadgen import LoadGenerator
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .queue import BatchGroup, RequestQueue
@@ -58,7 +52,6 @@ __all__ = [
     "AdmissionController",
     "BatchGroup",
     "Counter",
-    "ElasticController",
     "Gauge",
     "Histogram",
     "LoadGenerator",

@@ -179,7 +179,6 @@ class Scheduler:
         admission: AdmissionController | None = None,
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
-        elastic=None,
     ):
         """``tracer`` (a :class:`~repro.obs.Tracer`) records span
         timelines on the serve clock for every sampled request —
@@ -187,23 +186,9 @@ class Scheduler:
         engine-run tree down to kernels — exportable to Perfetto.  The
         tracer's ``sample_every`` picks which tickets are traced;
         batches with no sampled member run with tracing muted, so
-        sampling bounds trace volume without touching the schedule.
-
-        ``elastic`` (an :class:`~repro.serve.elastic.ElasticController`)
-        admits its managed *sharded* engine — normally rejected, since a
-        sharded engine splits one query across devices rather than
-        spreading queries over the pool.  The managed engine runs on its
-        own shard devices (never a pool slot), serialized on a private
-        busy horizon; after every one of its micro-batches the
-        controller observes the served database and may grow/shrink the
-        shard set or split hot keys before the next batch, charging the
-        modeled migration seconds to that horizon."""
+        sampling bounds trace volume without touching the schedule."""
         self.pool = pool or DevicePool(n_devices, policy="least-loaded")
         self.tracer = tracer or NULL_TRACER
-        self.elastic = elastic
-        #: Serve-clock time the elastic engine's shard set is busy until
-        #: (its batches + migration windows); reset per drain.
-        self._elastic_free_at = 0.0
         #: Open request spans of the current drain, by ticket.
         self._request_spans: dict[int, object] = {}
         self.classes = dict(classes) if classes is not None else default_slo_classes()
@@ -230,15 +215,6 @@ class Scheduler:
             raise LobsterError(
                 f"unknown SLO class {request.slo!r}; "
                 f"known: {sorted(self.classes)}"
-            )
-        if request.engine._use_sharded() and not self._is_elastic_engine(
-            request.engine
-        ):
-            raise LobsterError(
-                "the serving scheduler spreads independent queries across "
-                "a DevicePool; a sharded engine splits one query across "
-                "devices — serve it with shards=1, or hand it to an "
-                "ElasticController (elastic=) to serve on its shard set"
             )
         if request.ticket is not None:
             raise LobsterError(
@@ -295,7 +271,6 @@ class Scheduler:
 
         self.outcomes = {}  # this drain's records only (no unbounded growth)
         self._request_spans = {}
-        self._elastic_free_at = 0.0
         queue = RequestQueue(self.classes)
         self._queue = queue
         stream_start = arrivals[0].arrival_s if arrivals else 0.0
@@ -309,26 +284,16 @@ class Scheduler:
                     self._admit(arrivals[cursor], now, queue, free_at)
                     cursor += 1
 
-                # 2. Dispatch while a group is ready and its executor — a
-                # free pool device, or the elastic engine's shard set — is
-                # available.
+                # 2. Dispatch while a group is ready and a pool device is
+                # free.
                 while True:
                     ready = queue.ready_groups(now)
                     if not ready:
                         break
                     free = [i for i, t in enumerate(free_at) if t <= now]
-                    progressed = False
-                    for group in ready:
-                        if self._is_elastic_group(group):
-                            executor_free = self._elastic_free_at <= now
-                        else:
-                            executor_free = bool(free)
-                        if executor_free:
-                            self._dispatch(group, now, queue, free_at, free)
-                            progressed = True
-                            break
-                    if not progressed:
+                    if not free:
                         break
+                    self._dispatch(ready[0], now, queue, free_at, free)
 
                 # 3. Advance the clock to the next event.
                 candidates: list[float] = []
@@ -339,13 +304,9 @@ class Scheduler:
                     if ready_time is not None and ready_time > now:
                         candidates.append(ready_time)
                     else:
-                        # A group is ready but its executor is busy: wake
-                        # when a pool device — or the elastic shard set —
-                        # next frees up.
-                        waits = [t for t in free_at if t > now]
-                        if self._elastic_free_at > now:
-                            waits.append(self._elastic_free_at)
-                        candidates.append(min(waits))
+                        # A group is ready but every device is busy: wake
+                        # when a pool device next frees up.
+                        candidates.append(min(t for t in free_at if t > now))
                 if not candidates:
                     break
                 now = min(candidates)
@@ -362,7 +323,6 @@ class Scheduler:
             self._queue = None
 
         makespan = max(free_at) if free_at else 0.0
-        makespan = max(makespan, self._elastic_free_at)
         self._export_device_metrics()
         report = ServeReport(
             outcomes=sorted(self.outcomes.values(), key=lambda o: o.ticket),
@@ -431,14 +391,6 @@ class Scheduler:
             queue.depth(request.slo)
         )
 
-    def _is_elastic_engine(self, engine) -> bool:
-        return self.elastic is not None and self.elastic.manages(engine)
-
-    def _is_elastic_group(self, group: BatchGroup) -> bool:
-        return bool(group.requests) and self._is_elastic_engine(
-            group.requests[0].engine
-        )
-
     def _fill_batch(
         self, group: BatchGroup, now: float, queue: RequestQueue
     ) -> list[Request]:
@@ -494,26 +446,14 @@ class Scheduler:
     ) -> None:
         """Run one micro-batch of ``group`` and fan its outcomes out.
 
-        A pool batch takes the least-loaded free device and holds it
-        until the batch drains.  An *elastic* batch takes no pool slot:
-        the managed engine runs on its own shard set, serialized on the
-        controller's private busy horizon (``service_seconds`` is the
-        busiest shard's modeled time); afterwards the controller observes
-        the served databases and may migrate the shard layout, and the
-        priced migration seconds extend the horizon — a reshard delays
-        the next micro-batch exactly as the shuffle it models would."""
+        The batch takes the least-loaded free device and holds it until
+        the batch drains."""
         batch = self._fill_batch(group, now, queue)
         if not batch:
             return
-        elastic = self._is_elastic_engine(batch[0].engine)
-        if elastic:
-            device_index = None
-            track, where = "elastic", {"shards": batch[0].engine.shards}
-        else:
-            device_index, _ = self.pool.acquire(
-                policy="least-loaded", eligible=free_devices
-            )
-            track, where = f"device{device_index}", {"device": device_index}
+        device_index, _ = self.pool.acquire(
+            policy="least-loaded", eligible=free_devices
+        )
         session = self._session_for(batch[0])
         databases = [request.database for request in batch]
         tracer = self.tracer
@@ -521,17 +461,17 @@ class Scheduler:
         if tracer.enabled and any(
             request.ticket in self._request_spans for request in batch
         ):
-            # The batch occupies its executor [now, now + sum(services)];
-            # engine-run spans nest under it on the executor's lane.  The
+            # The batch occupies its device [now, now + sum(services)];
+            # engine-run spans nest under it on the device's lane.  The
             # cursor is pinned to the dispatch time so those run spans
             # anchor exactly where the outcome fan-out puts them.
             batch_span = tracer.start(
                 "serve.batch",
                 t=now,
-                track=track,
+                track=f"device{device_index}",
                 slo=group.slo,
                 size=len(batch),
-                **where,
+                device=device_index,
             )
             tracer.set_time(now)
             try:
@@ -586,24 +526,14 @@ class Scheduler:
                     t=finish - service,
                     parent=span,
                     batch_size=len(batch),
-                    **where,
+                    device=device_index,
                 )
-                # (Only pool batches link back; the elastic span set is pinned.)
-                if batch_span is not None and not elastic:
+                if batch_span is not None:
                     execute.attrs["batch_span"] = batch_span.span_id
                 tracer.finish(execute, finish)
                 span.attrs["status"] = COMPLETED
                 tracer.finish(span, finish)
-        horizon = start + elapsed
-        if elastic:
-            for request, result in zip(batch, results):
-                self.elastic.observe(request.database, result)
-            plan = self.elastic.maybe_reshard(horizon)
-            if plan is not None and plan.migrate:
-                horizon += plan.migration_s
-            self._elastic_free_at = horizon
-        else:
-            free_at[device_index] = horizon
+        free_at[device_index] = start + elapsed
         self.metrics.counter("serve.batches").inc()
         self.metrics.histogram("serve.batch_size", lo=1.0, growth=1.25).observe(
             len(batch)
@@ -631,16 +561,12 @@ class Scheduler:
         :attr:`Request.program_key`), shared by every request that
         coalesces on it.  The session runs every request through *its*
         engine, which the key makes sound."""
-        elastic = self._is_elastic_engine(request.engine)
-        # The elastic engine runs on its own shard devices, not pool
-        # slots, so its session is built poolless (and keyed apart: a
-        # same-program non-elastic engine must not inherit it).
-        key = f"elastic:{request.program_key}" if elastic else request.program_key
+        key = request.program_key
         session = self._sessions.get(key)
         if session is None:
             session = LobsterSession(
                 request.engine,
-                pool=None if elastic else self.pool,
+                pool=self.pool,
                 metrics=self.metrics,
                 tracer=self.tracer if self.tracer is not NULL_TRACER else None,
             )

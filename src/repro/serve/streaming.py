@@ -101,7 +101,6 @@ class StreamScheduler:
         max_lag_ticks: float = 4.0,
         durability: "RecoveryManager | None" = None,
         tracer: Tracer | None = None,
-        elastic=None,
     ):
         """Share ``pool`` and ``metrics`` with a request
         :class:`~repro.serve.scheduler.Scheduler` to co-locate
@@ -113,19 +112,12 @@ class StreamScheduler:
         :func:`repro.recovery.recover`.  ``tracer`` (a
         :class:`~repro.obs.Tracer`, sharable with the request scheduler)
         records per-tick span timelines — the maintain run tree plus WAL
-        append / checkpoint swap events when ``durability`` is set.
-        ``elastic`` (an :class:`~repro.serve.elastic.ElasticController`,
-        sharable with a request scheduler) gets a
-        :meth:`~repro.serve.elastic.ElasticController.maybe_reshard`
-        probe after every completed tick — the between-micro-batches
-        seam where its managed engine's shard set may grow, shrink, or
-        split hot keys without ever interrupting in-flight work."""
+        append / checkpoint swap events when ``durability`` is set."""
         self.pool = pool or DevicePool(n_devices, policy="least-loaded")
         self.metrics = metrics or MetricsRegistry()
         self.tracer = tracer or NULL_TRACER
         self.max_lag_ticks = max_lag_ticks
         self.durability = durability
-        self.elastic = elastic
         self.streams: list[RegisteredStream] = []
         self._sessions: dict[str, LobsterSession] = {}
 
@@ -139,17 +131,9 @@ class StreamScheduler:
         name: str | None = None,
     ) -> RegisteredStream:
         """Schedule ``feed``'s deltas into ``view`` every ``period_s``
-        simulated seconds.  The view's engine must be single-device
-        (sharded engines split one query across their own pool — they
-        cannot also share this one)."""
+        simulated seconds."""
         if period_s <= 0:
             raise LobsterError("tick period must be > 0 simulated seconds")
-        if view.engine._use_sharded():
-            raise LobsterError(
-                "the stream scheduler runs maintenance on its shared "
-                "DevicePool; a sharded engine brings its own shard pool — "
-                "maintain it with shards=1 (or drive the view directly)"
-            )
         if view.metrics is None:
             # The view's per-tick instruments (maintain latency, changed
             # rows, fallbacks) land in the shared registry, next to the
@@ -272,11 +256,6 @@ class StreamScheduler:
                 tracer.finish(tick_span, finish)
             free_at[device_index] = finish
             entry.ticks_applied += applied
-            if self.elastic is not None:
-                # Ticks are the stream path's micro-batch boundaries:
-                # the controller may resize its managed engine's shard
-                # set here, between passes, never mid-tick.
-                self.elastic.maybe_reshard(finish)
 
             report.deltas.append(view_delta)
             report.passes += 1

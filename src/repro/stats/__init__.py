@@ -6,14 +6,13 @@ sketches, maintained incrementally by the storage layer
 (:mod:`repro.runtime.relation`) and snapshotted into a
 :class:`StatsCatalog` whose *bucket key* content-addresses compiled
 plans.  :mod:`repro.stats.estimate` turns the catalog into cardinality
-estimates and an exchange-aware :class:`CostModel`;
+estimates and a :class:`CostModel`;
 :mod:`repro.stats.feedback` closes the loop with observed cardinalities
 that trigger re-planning when estimates drift.
 """
 
 from .estimate import CostModel, DEFAULT_ROWS
 from .feedback import PlanFeedback
-from .hotkeys import HotKey, HotKeyReport, hot_key_report, hot_keys
 from .relation_stats import ColumnStats, RelationStats, StatsCatalog
 from .sketches import CountMinSketch, KmvSketch
 
@@ -22,12 +21,8 @@ __all__ = [
     "CostModel",
     "CountMinSketch",
     "DEFAULT_ROWS",
-    "HotKey",
-    "HotKeyReport",
     "KmvSketch",
     "PlanFeedback",
     "RelationStats",
     "StatsCatalog",
-    "hot_key_report",
-    "hot_keys",
 ]

@@ -1,4 +1,4 @@
-"""Cardinality estimation and the exchange-aware cost model.
+"""Cardinality estimation and the cost model.
 
 The cost-based planner works over *bindings*: an atom (or a partial join
 result) is summarized as an estimated row count plus a per-variable
@@ -21,15 +21,8 @@ Unknown relations (an IDB predicate before its first run) fall back to
 :data:`DEFAULT_ROWS`; the adaptive loop replaces the guess with observed
 statistics after one execution.
 
-:class:`CostModel` turns cardinalities into plan cost.  Each join step
-charges its inputs and its output; a sharded engine additionally prices
-every *derived* row's trip through the exchange collectives (shuffle to
-owner + all-gather, ``2 x (n-1)/n`` cross-shard copies per row), with the
-device exchange model's bytes/second normalized into tuple units.  Under
-the partitioned-frontier/replicated-closure scheme joins themselves stay
-shard-local (build sides are replicated), so exchange cost attaches to
-rule *outputs* — it raises the price of plans that materialize wide
-intermediate results into recursive predicates.
+:class:`CostModel` turns cardinalities into plan cost: each join step
+charges its inputs and its output.
 """
 
 from __future__ import annotations
@@ -37,10 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .relation_stats import ColumnStats, RelationStats, StatsCatalog
-from ..gpu.device import (
-    DEFAULT_EXCHANGE_BANDWIDTH_BYTES_PER_S,
-    KERNEL_ROW_COST_S,
-)
 
 __all__ = ["CostModel", "VarStats", "Binding", "DEFAULT_ROWS"]
 
@@ -89,52 +78,18 @@ class CostModel:
     tuple_cost: float = 1.0
     #: Cost per output row materialized.
     output_cost: float = 1.0
-    #: Shards the plan will execute on (1 = single device).
-    n_shards: int = 1
-    #: Cost per cross-shard row copy, in tuple units (0 single-device).
-    exchange_row_cost: float = 0.0
-
-    @classmethod
-    def for_shards(
-        cls,
-        n_shards: int,
-        *,
-        row_bytes: float = 24.0,
-        exchange_bandwidth: float = DEFAULT_EXCHANGE_BANDWIDTH_BYTES_PER_S,
-    ) -> "CostModel":
-        """Derive exchange pricing from the device cost model: seconds
-        per exchanged row over seconds per kernel row gives the exchange
-        cost in the same units the join kernels are charged in."""
-        if n_shards <= 1:
-            return cls()
-        per_row_s = row_bytes / exchange_bandwidth
-        return cls(
-            n_shards=n_shards,
-            exchange_row_cost=per_row_s / KERNEL_ROW_COST_S,
-        )
 
     def key(self) -> str:
         """Cache-identity fragment: two engines whose cost models differ
-        (e.g. sharded vs single-device exchange pricing) must not share
-        a compiled plan even for the same program and stats bucket."""
-        return (
-            f"t{self.tuple_cost:g}o{self.output_cost:g}"
-            f"n{self.n_shards}x{self.exchange_row_cost:g}"
-        )
+        must not share a compiled plan even for the same program and
+        stats bucket."""
+        return f"t{self.tuple_cost:g}o{self.output_cost:g}"
 
     def join_cost(self, left_rows: float, right_rows: float, out_rows: float) -> float:
         return (
             self.tuple_cost * (left_rows + right_rows)
             + self.output_cost * out_rows
         )
-
-    def exchange_cost(self, out_rows: float) -> float:
-        """Modeled collective cost of routing ``out_rows`` derived rows
-        to their owners and broadcasting the merged delta back."""
-        if self.n_shards <= 1:
-            return 0.0
-        cross = (self.n_shards - 1) / self.n_shards
-        return 2.0 * cross * out_rows * self.exchange_row_cost
 
 
 # ---------------------------------------------------------------------------

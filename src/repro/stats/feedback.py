@@ -3,8 +3,7 @@
 The interpreter fills a :class:`PlanFeedback` while it executes — per-rule
 output cardinalities (the largest single firing, which on a cold run is
 the full-join firing the planner estimated), per-instruction-class output
-row totals, final relation sizes, and (sharded) per-shard derived-row
-counts reported by the exchange loop.  The engine pairs the actuals with
+row totals and final relation sizes.  The engine pairs the actuals with
 the compiled plan's estimates and exposes :meth:`PlanFeedback.max_drift`:
 the worst estimated/observed ratio across rules.
 
@@ -40,12 +39,9 @@ class PlanFeedback:
     instruction_rows: dict[str, int] = field(default_factory=dict)
     #: Final row count per relation after the run.
     relation_rows: dict[str, int] = field(default_factory=dict)
-    #: Derived rows per shard (sharded runs only) — the exchange loop's
-    #: view of how evenly the derivation work spread.
-    shard_rows: dict[int, int] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
-    # Recording (interpreter / executor side)
+    # Recording (interpreter side)
 
     def record_rule(self, rule_key: str, n_rows: int) -> None:
         prior = self.rule_actuals.get(rule_key)
@@ -57,9 +53,6 @@ class PlanFeedback:
 
     def record_instruction(self, name: str, n_rows: int) -> None:
         self.instruction_rows[name] = self.instruction_rows.get(name, 0) + n_rows
-
-    def record_shard(self, shard: int, n_rows: int) -> None:
-        self.shard_rows[shard] = self.shard_rows.get(shard, 0) + n_rows
 
     # ------------------------------------------------------------------
     # Reading (engine / scheduler side)
@@ -82,13 +75,3 @@ class PlanFeedback:
         """Whether observed cardinalities drifted past ``threshold``
         (a ratio, e.g. 8.0 = off by 8x in either direction)."""
         return self.max_drift() > threshold
-
-    def shard_imbalance(self) -> float:
-        """Max/mean derived-row ratio across shards (1.0 = balanced)."""
-        if not self.shard_rows:
-            return 1.0
-        counts = list(self.shard_rows.values())
-        mean = sum(counts) / len(counts)
-        if mean <= 0:
-            return 1.0
-        return max(counts) / mean

@@ -161,51 +161,6 @@ def chain_of_cliques(n_cliques: int, clique: int, seed: int = 0) -> Edges:
     return sorted(edges)
 
 
-def zipf_overlap(
-    n_blocks: int,
-    mids: int,
-    sinks: int,
-    n_sources: int,
-    skew: float = 1.6,
-    min_cov: int = 1,
-) -> Edges:
-    """Zipf-skewed block-overlap DAG — the elastic-resharding workload.
-
-    ``n_blocks`` disjoint complete-bipartite blocks (``mids`` mid nodes
-    each pointing at the block's ``sinks`` sink nodes) are shared by
-    ``n_sources`` source nodes: the rank-``r`` source covers
-    ``clip(n_blocks / r**skew, min_cov, n_blocks)`` blocks, edge-connecting
-    to every mid in each.  The heavy block reuse makes transitive closure
-    kernel-bound (each block edge is re-walked once per covering source)
-    while the rank-1 source — covering *every* block — concentrates a
-    Zipf head of the derived mass on a single join key, which is exactly
-    the hot key a keyed shard map must split.  ``skew=0`` degenerates to
-    uniform coverage (``min_cov`` blocks per source, rotated so every
-    block carries the same load): same scale, no hot key.
-
-    Deterministic by construction (no RNG): coverage is a cyclic block
-    window starting at ``r % n_blocks``, so repeated builds are identical
-    and per-block load stays even under any source count.
-    """
-    src0, mid0, sink0 = 1_000_000, 2_000_000, 3_000_000
-    edges: Edges = []
-    for b in range(n_blocks):
-        for m in range(mids):
-            mid = mid0 + b * mids + m
-            for s in range(sinks):
-                edges.append((mid, sink0 + b * sinks + s))
-    ranks = np.arange(1, n_sources + 1, dtype=np.float64)
-    with np.errstate(divide="ignore"):
-        raw = n_blocks / ranks**skew if skew > 0 else np.full(n_sources, min_cov)
-    cov = np.clip(raw, min_cov, n_blocks).astype(np.int64)
-    for r in range(n_sources):
-        for i in range(int(cov[r])):
-            base = mid0 + ((r + i) % n_blocks) * mids
-            for m in range(mids):
-                edges.append((src0 + r, base + m))
-    return edges
-
-
 # ---------------------------------------------------------------------------
 # Named corpus
 

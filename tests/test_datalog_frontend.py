@@ -171,6 +171,18 @@ class TestResolver:
         with pytest.raises(ResolutionError, match="cyclic"):
             compile_source("type A = B\ntype B = A\n")
 
+    @pytest.mark.parametrize("name", ["banana", "i99", "flaot", "Cel"])
+    def test_unknown_type_name_rejected(self, name):
+        with pytest.raises(ResolutionError, match=rf"'{name}'.*column 1.*'q'"):
+            compile_source(f"type Cell = u32\ntype q(a: Cell, b: {name})\n")
+
+    @pytest.mark.parametrize(
+        "name", ["i8", "u16", "i32", "u64", "i128", "usize", "isize", "Cell"]
+    )
+    def test_integer_widths_and_aliases_resolve_to_int64(self, name):
+        resolved = compile_source(f"type Cell = u32\ntype q({name})\n")
+        assert resolved.schemas["q"] == (np.dtype(np.int64),)
+
 
 class TestStratify:
     def test_linear_dependencies(self):

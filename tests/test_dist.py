@@ -1,455 +1,19 @@
-"""Sharded multi-device execution (repro.dist).
-
-The hard contract: ``LobsterEngine(shards=N)`` must return rows and tags
-*identical* to the single-device engine — for every partitionable
-program and every commutative-⊕ semiring — with gradients included for
-the differentiable semirings.  Plus unit coverage for the partitioner,
-exchange accounting, the device pool, and the fallback rules.
-"""
+"""The device pool (repro.dist): pooled sessions answer like a plain
+session, and a drain's per-device profiles roll up into one."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro import (
     DevicePool,
     DeviceProfile,
-    HashPartitioner,
     LobsterEngine,
     LobsterSession,
-    LobsterError,
     VirtualDevice,
 )
-from repro.dist.exchange import ExchangeOperator
-from repro.provenance import registry
-from repro.runtime.table import Table
-from repro.workloads.analytics import CSPA
 from _helpers import TC_PROGRAM, random_digraph
-
-SHARD_COUNTS = [1, 2, 4]
-
-#: Per-provenance constructor arguments: the general top-k reduce is
-#: quadratic in per-row duplicate derivations, so the proof semirings
-#: run with k=2 to keep the property tests fast.
-PROV_KWARGS = {
-    "top-k-proofs-device": {"k": 2},
-    "diff-top-k-proofs-device": {"k": 2},
-}
-
-
-def _cspa_facts(n_vars=24, n_assign=36, seed=40):
-    """Small forward-biased CSPA fact base (like
-    :func:`repro.workloads.analytics.cspa_instance`, scaled down so the
-    structured-tag semirings finish quickly; the closure still exercises
-    the multi-predicate recursive stratum)."""
-    rng = np.random.default_rng(seed)
-    src = rng.integers(1, n_vars, size=n_assign)
-    dst = (src * rng.uniform(0.0, 1.0, size=n_assign)).astype(np.int64)
-    assign = sorted({(int(a), int(b)) for a, b in zip(src, dst) if a != b})
-    n_deref = max(3, n_assign // 5)
-    deref = sorted(
-        {
-            (int(a), int(b))
-            for a, b in zip(
-                rng.integers(0, n_vars, size=n_deref),
-                rng.integers(0, n_vars, size=n_deref),
-            )
-        }
-    )
-    return assign, deref
-
-
-CSPA_ASSIGN, CSPA_DEREF = _cspa_facts()
-
-
-def tags_identical(a: np.ndarray, b: np.ndarray) -> bool:
-    """Bitwise tag equality (works for plain and structured dtypes)."""
-    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
-def run_engine(source, provenance, shards, loader):
-    engine = LobsterEngine(
-        source,
-        provenance=provenance,
-        shards=shards,
-        **PROV_KWARGS.get(provenance, {}),
-    )
-    database = engine.create_database()
-    loader(database)
-    result = engine.run(database)
-    return engine, database, result
-
-
-class TestShardedEquivalence:
-    """Property: sharded == single-device, rows and tags."""
-
-    @pytest.fixture(scope="class")
-    def tc_facts(self):
-        rng = np.random.default_rng(77)
-        edges = random_digraph(rng, 40, 150)
-        probs = rng.uniform(0.05, 0.99, size=len(edges))
-        return edges, list(probs)
-
-    @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    @pytest.mark.parametrize(
-        "provenance",
-        ["unit", "minmaxprob", "top-k-proofs-device"],
-    )
-    def test_tc_rows_and_tags_identical(self, tc_facts, provenance, shards):
-        edges, probs = tc_facts
-        use_probs = provenance != "unit"
-
-        def load(db):
-            db.add_facts("edge", edges, probs=probs if use_probs else None)
-
-        _, base_db, base = run_engine(TC_PROGRAM, provenance, 1, load)
-        _, shard_db, result = run_engine(TC_PROGRAM, provenance, shards, load)
-        expected, actual = base_db.result("path"), shard_db.result("path")
-        assert actual.rows() == expected.rows()
-        assert tags_identical(actual.tags, expected.tags)
-        assert result.shards == shards
-        assert result.iterations == base.iterations
-
-    @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    @pytest.mark.parametrize(
-        "provenance",
-        ["unit", "minmaxprob", "top-k-proofs-device"],
-    )
-    def test_cspa_rows_and_tags_identical(self, provenance, shards):
-        rng = np.random.default_rng(5)
-        probs = list(rng.uniform(0.1, 0.99, size=len(CSPA_ASSIGN)))
-        use_probs = provenance != "unit"
-
-        def load(db):
-            db.add_facts("assign", CSPA_ASSIGN, probs=probs if use_probs else None)
-            db.add_facts("dereference", CSPA_DEREF)
-
-        _, base_db, _ = run_engine(CSPA, provenance, 1, load)
-        _, shard_db, result = run_engine(CSPA, provenance, shards, load)
-        for predicate in ("value_flow", "memory_alias", "value_alias"):
-            expected, actual = base_db.result(predicate), shard_db.result(predicate)
-            assert actual.rows() == expected.rows()
-            assert tags_identical(actual.tags, expected.tags)
-        assert result.shards == shards
-
-    @pytest.mark.parametrize("shards", [2, 4])
-    @pytest.mark.parametrize(
-        "provenance",
-        ["diff-minmaxprob", "diff-top-k-proofs-device"],
-    )
-    def test_gradients_identical(self, tc_facts, provenance, shards):
-        edges, probs = tc_facts
-
-        def load(db):
-            db.add_facts("edge", edges, probs=probs)
-
-        single, base_db, _ = run_engine(TC_PROGRAM, provenance, 1, load)
-        sharded, shard_db, _ = run_engine(TC_PROGRAM, provenance, shards, load)
-        rows = base_db.result("path").rows()
-        grad_out = {row: 1.0 for row in rows[::3]}
-        expected = single.backward(base_db, "path", grad_out)
-        actual = sharded.backward(shard_db, "path", grad_out)
-        assert np.array_equal(expected, actual)
-
-    @pytest.mark.parametrize("shards", [2, 4])
-    @pytest.mark.parametrize(
-        "provenance",
-        ["diff-minmaxprob", "diff-top-k-proofs-device"],
-    )
-    def test_cspa_gradients_identical(self, provenance, shards):
-        rng = np.random.default_rng(6)
-        probs = list(rng.uniform(0.1, 0.99, size=len(CSPA_ASSIGN)))
-
-        def load(db):
-            db.add_facts("assign", CSPA_ASSIGN, probs=probs)
-            db.add_facts("dereference", CSPA_DEREF)
-
-        single, base_db, _ = run_engine(CSPA, provenance, 1, load)
-        sharded, shard_db, _ = run_engine(CSPA, provenance, shards, load)
-        for predicate in ("value_flow", "value_alias"):
-            rows = base_db.result(predicate).rows()
-            grad_out = {row: 1.0 for row in rows[::2]}
-            expected = single.backward(base_db, predicate, grad_out)
-            actual = sharded.backward(shard_db, predicate, grad_out)
-            assert np.array_equal(expected, actual)
-
-    @pytest.mark.parametrize("shards", [3])
-    def test_probabilities_identical(self, tc_facts, shards):
-        edges, probs = tc_facts
-
-        def load(db):
-            db.add_facts("edge", edges, probs=probs)
-
-        single, base_db, _ = run_engine(TC_PROGRAM, "minmaxprob", 1, load)
-        sharded, shard_db, _ = run_engine(TC_PROGRAM, "minmaxprob", shards, load)
-        assert single.query_probs(base_db, "path") == sharded.query_probs(
-            shard_db, "path"
-        )
-
-    @pytest.mark.parametrize("shards", [3])
-    def test_multi_stratum_program(self, shards):
-        """Strata chains (flat → recursive → flat) exercise the transfer
-        plan and the flat-rule round-robin across shard boundaries."""
-        source = """
-        rel base(x, y) :- edge(x, y).
-        rel path(x, y) :- base(x, y) or (path(x, z) and base(z, y)).
-        rel reach(x) :- path(s, x), start(s).
-        query reach
-        """
-        rng = np.random.default_rng(4)
-        edges = random_digraph(rng, 30, 90)
-        probs = list(rng.uniform(0.1, 0.9, size=len(edges)))
-
-        def load(db):
-            db.add_facts("edge", edges, probs=probs)
-            db.add_facts("start", [(0,)], probs=[0.8])
-
-        _, base_db, _ = run_engine(source, "minmaxprob", 1, load)
-        _, shard_db, _ = run_engine(source, "minmaxprob", shards, load)
-        for predicate in ("base", "path", "reach"):
-            expected, actual = base_db.result(predicate), shard_db.result(predicate)
-            assert actual.rows() == expected.rows()
-            assert tags_identical(actual.tags, expected.tags)
-
-    def test_arity_zero_predicates(self):
-        source = """
-        rel reach(x) :- start(x) or (reach(y) and edge(y, x)).
-        rel connected() :- reach(t), target(t).
-        query connected
-        """
-        rng = np.random.default_rng(9)
-        edges = random_digraph(rng, 20, 60)
-
-        def load(db):
-            db.add_facts("start", [(0,)])
-            db.add_facts("target", [(7,), (13,)])
-            db.add_facts("edge", edges)
-
-        _, base_db, _ = run_engine(source, "unit", 1, load)
-        _, shard_db, _ = run_engine(source, "unit", 4, load)
-        assert shard_db.result("connected").rows() == base_db.result("connected").rows()
-        assert shard_db.result("reach").rows() == base_db.result("reach").rows()
-
-
-class TestFallbacksAndWarmRuns:
-    def test_negation_falls_back_to_single_device(self):
-        source = """
-        rel reach(x) :- start(x) or (reach(y) and e(y, x)).
-        rel unreached(x) :- node(x), not reach(x).
-        query unreached
-        """
-        rng = np.random.default_rng(2)
-        edges = random_digraph(rng, 12, 30)
-
-        def load(db):
-            db.add_facts("start", [(0,)])
-            db.add_facts("e", edges)
-            db.add_facts("node", [(n,) for n in range(12)])
-
-        single, base_db, _ = run_engine(source, "unit", 1, load)
-        sharded, shard_db, result = run_engine(source, "unit", 4, load)
-        assert result.shards == 1  # fell back: negation is not partitionable
-        assert shard_db.result("unreached").rows() == base_db.result("unreached").rows()
-
-    def test_warm_rerun_matches_cold(self):
-        engine = LobsterEngine(TC_PROGRAM, provenance="unit", shards=2)
-        db = engine.create_database()
-        db.add_facts("edge", [(0, 1), (1, 2)])
-        engine.run(db)
-        db.add_facts("edge", [(2, 3)])
-        result = engine.run(db)  # transparent rebuild, never incremental
-        assert not result.incremental
-
-        cold = LobsterEngine(TC_PROGRAM, provenance="unit", shards=2)
-        cold_db = cold.create_database()
-        cold_db.add_facts("edge", [(0, 1), (1, 2), (2, 3)])
-        cold.run(cold_db)
-        assert db.result("path").rows() == cold_db.result("path").rows()
-
-    def test_explicit_incremental_rejected(self):
-        engine = LobsterEngine(TC_PROGRAM, provenance="unit", shards=2)
-        db = engine.create_database()
-        db.add_facts("edge", [(0, 1)])
-        engine.run(db)
-        db.add_facts("edge", [(1, 2)])
-        assert not engine.supports_incremental(db)
-        with pytest.raises(LobsterError):
-            engine.run(db, incremental=True)
-
-    def test_shards_must_be_positive(self):
-        with pytest.raises(LobsterError):
-            LobsterEngine(TC_PROGRAM, shards=0)
-
-    def test_device_with_shards_is_rejected_not_ignored(self):
-        with pytest.raises(LobsterError):
-            LobsterEngine(TC_PROGRAM, device=VirtualDevice(), shards=2)
-        with pytest.raises(LobsterError):
-            LobsterEngine(
-                TC_PROGRAM,
-                device=VirtualDevice(),
-                shard_devices=[VirtualDevice()],
-            )
-
-    def test_single_supplied_shard_device_is_used(self):
-        device = VirtualDevice()
-        engine = LobsterEngine(TC_PROGRAM, shard_devices=[device])
-        assert engine.device is device and engine.shards == 1
-        db = engine.create_database()
-        db.add_facts("edge", [(0, 1)])
-        engine.run(db)
-        assert device.profile.kernel_launches > 0
-
-    def test_edb_mask_state_matches_single_device(self):
-        """Relations no stratum derives (plain EDB inputs) come out of a
-        sharded run with the same partition masks single-device leaves."""
-        states = {}
-        for shards in (1, 2):
-            engine = LobsterEngine(TC_PROGRAM, provenance="unit", shards=shards)
-            db = engine.create_database()
-            db.add_facts("edge", [(0, 1), (1, 2), (2, 3)])
-            engine.run(db)
-            rel = db.relation("edge")
-            states[shards] = (
-                rel.n_recent(),
-                rel.snapshot("recent").rows(),
-                rel.n_changed(),
-            )
-        assert states[1] == states[2]
-
-    def test_retained_bytes_reset_across_runs(self):
-        """Without buffer reuse, retained-temporary accounting must reset
-        per stratum (as single-device does) — not accumulate across the
-        runs served by the engine's cached executor."""
-        from repro import OptimizationConfig
-
-        engine = LobsterEngine(
-            TC_PROGRAM,
-            provenance="unit",
-            shards=2,
-            optimizations=OptimizationConfig(buffer_reuse=False),
-        )
-        edges = [(0, 1), (1, 2), (2, 3)]
-        retained = []
-        for _ in range(3):
-            db = engine.create_database()
-            db.add_facts("edge", edges)
-            engine.run(db)
-            retained.append(
-                engine._sharded_executor.interpreters[0]._retained_bytes
-            )
-        assert retained[0] == retained[1] == retained[2]
-
-
-class TestPartitioner:
-    def test_owners_are_deterministic_and_complete(self):
-        rng = np.random.default_rng(1)
-        table = Table(
-            [rng.integers(0, 1000, size=500), rng.integers(0, 1000, size=500)],
-            np.ones(500, dtype=bool),
-            500,
-        )
-        partitioner = HashPartitioner(4)
-        owners = partitioner.owners(table)
-        assert np.array_equal(owners, partitioner.owners(table))
-        assert owners.min() >= 0 and owners.max() < 4
-        parts = partitioner.split(table)
-        assert sum(p.n_rows for p in parts) == table.n_rows
-
-    def test_equal_rows_share_an_owner_across_tables(self):
-        a = Table([np.array([5, 9]), np.array([2, 4])], np.ones(2, dtype=bool), 2)
-        b = Table([np.array([9, 5]), np.array([4, 2])], np.ones(2, dtype=bool), 2)
-        partitioner = HashPartitioner(8)
-        assert partitioner.owners(a)[0] == partitioner.owners(b)[1]
-        assert partitioner.owners(a)[1] == partitioner.owners(b)[0]
-
-    def test_negative_zero_hashes_like_zero(self):
-        plus = Table([np.array([0.0])], np.ones(1, dtype=bool), 1)
-        minus = Table([np.array([-0.0])], np.ones(1, dtype=bool), 1)
-        partitioner = HashPartitioner(16)
-        assert partitioner.owners(plus)[0] == partitioner.owners(minus)[0]
-
-    def test_arity_zero_rows_pinned_to_shard_zero(self):
-        table = Table([], np.ones(1, dtype=bool), 1)
-        assert HashPartitioner(8).owners(table).tolist() == [0]
-
-    def test_balance_on_large_tables(self):
-        rng = np.random.default_rng(3)
-        n = 20_000
-        table = Table(
-            [rng.integers(0, 10_000, size=n), rng.integers(0, 10_000, size=n)],
-            np.ones(n, dtype=bool),
-            n,
-        )
-        counts = np.bincount(HashPartitioner(4).owners(table), minlength=4)
-        assert counts.min() > 0.8 * n / 4
-        assert counts.max() < 1.2 * n / 4
-
-
-class TestExchange:
-    def _tables(self, provenance_name="unit"):
-        provenance = registry.create(provenance_name)
-        provenance.setup(np.zeros(0))
-        rng = np.random.default_rng(8)
-        tables = []
-        for _ in range(3):
-            n = 50
-            tables.append(
-                Table(
-                    [rng.integers(0, 100, size=n), rng.integers(0, 100, size=n)],
-                    provenance.one_tags(n),
-                    n,
-                )
-            )
-        return provenance, tables
-
-    def test_shuffle_routes_every_row_to_its_owner(self):
-        provenance, tables = self._tables()
-        devices = [VirtualDevice() for _ in range(3)]
-        exchange = ExchangeOperator(HashPartitioner(3), devices)
-        dtypes = (np.dtype(np.int64), np.dtype(np.int64))
-        owned = exchange.shuffle(tables, dtypes, provenance)
-        assert sum(t.n_rows for t in owned) == sum(t.n_rows for t in tables)
-        partitioner = HashPartitioner(3)
-        for shard, table in enumerate(owned):
-            if table.n_rows:
-                assert (partitioner.owners(table) == shard).all()
-
-    def test_cross_shard_rows_charge_the_sender(self):
-        provenance, tables = self._tables()
-        devices = [VirtualDevice() for _ in range(3)]
-        exchange = ExchangeOperator(HashPartitioner(3), devices)
-        dtypes = (np.dtype(np.int64), np.dtype(np.int64))
-        exchange.shuffle(tables, dtypes, provenance)
-        total = sum(d.profile.exchange_bytes for d in devices)
-        assert total > 0
-        assert all(d.profile.exchange_seconds > 0 for d in devices)
-
-    def test_single_shard_exchange_is_free(self):
-        provenance, tables = self._tables()
-        device = VirtualDevice()
-        exchange = ExchangeOperator(HashPartitioner(1), [device])
-        dtypes = (np.dtype(np.int64), np.dtype(np.int64))
-        merged = exchange.all_gather(
-            exchange.shuffle(tables[:1], dtypes, provenance), dtypes, provenance
-        )
-        assert merged.n_rows == tables[0].n_rows
-        assert device.profile.exchange_bytes == 0
-
-    def test_sharded_run_reports_exchange_separately(self):
-        rng = np.random.default_rng(21)
-        edges = random_digraph(rng, 40, 150)
-        engine = LobsterEngine(TC_PROGRAM, provenance="unit", shards=4)
-        db = engine.create_database()
-        db.add_facts("edge", edges)
-        result = engine.run(db)
-        assert result.profile.exchange_bytes > 0
-        assert result.profile.exchange_seconds > 0
-        # Exchange is accounted apart from host<->device transfer time.
-        assert result.profile.exchange_seconds != result.profile.transfer_seconds
-        assert len(result.shard_profiles) == 4
 
 
 class TestDevicePool:
@@ -486,24 +50,6 @@ class TestDevicePool:
                 == plain.database(pt).result("path").rows()
             )
 
-    def test_session_over_sharded_engine_shards_each_query(self):
-        rng = np.random.default_rng(29)
-        engine = LobsterEngine(TC_PROGRAM, provenance="unit", shards=3)
-        session = LobsterSession(engine)
-        for _ in range(3):
-            db = session.create_database()
-            db.add_facts("edge", random_digraph(rng, 15, 40))
-            session.submit(db)
-        report = session.run_all()
-        assert report.pool_size == 3  # the shard devices
-        assert all(result.shards == 3 for result in report.results)
-        assert report.profile.exchange_bytes > 0
-
-    def test_pool_plus_sharded_engine_is_rejected(self):
-        engine = LobsterEngine(TC_PROGRAM, provenance="unit", shards=2)
-        with pytest.raises(LobsterError):
-            LobsterSession(engine, pool=DevicePool(2))
-
     def test_pooled_report_merges_device_profiles(self):
         rng = np.random.default_rng(19)
         engine = LobsterEngine(TC_PROGRAM, provenance="unit")
@@ -521,7 +67,7 @@ class TestDevicePool:
         assert pool.merged_profile().kernel_launches == merged.kernel_launches
         # Both devices served some queries (round-robin over 4 queries).
         assert all(p.kernel_launches > 0 for p in report.device_profiles)
-        assert report.simulated_parallel_seconds <= report.profile.busy_seconds
+        assert report.makespan_seconds <= report.profile.busy_seconds
 
 
 class TestDeviceProfileMerge:
@@ -546,320 +92,12 @@ class TestDeviceProfileMerge:
         before = device.profile.snapshot()
         device.record_transfer(1000, to_device=True)
         mid = device.profile.snapshot()
-        device.record_exchange(500)
+        device.record_kernel(500)
         first = mid.since(before)
         second = device.profile.since(mid)
         merged = DeviceProfile.merge([first, second])
         assert merged.transfer_bytes == device.profile.transfer_bytes
-        assert merged.exchange_bytes == device.profile.exchange_bytes
         assert merged.transfer_seconds == pytest.approx(
             device.profile.transfer_seconds
         )
-
-
-class TestLemireReduction:
-    """The multiply-shift shard-id reduction: ``floor(h * n / 2**64)``."""
-
-    def test_matches_big_integer_reference(self):
-        """Pin the 32-bit-limb implementation against Python's exact
-        big-integer arithmetic, across shard counts that exercise both
-        limbs (including ones where ``h % n`` would disagree)."""
-        from repro.dist.partition import reduce_hashes
-
-        rng = np.random.default_rng(11)
-        hashes = rng.integers(0, 2**64, size=4096, dtype=np.uint64)
-        # Edge hashes: 0, max, and the limb boundary.
-        hashes[:4] = [0, 2**64 - 1, 2**32 - 1, 2**32]
-        for n in (1, 2, 3, 5, 7, 12, 31, 1000, 65535):
-            expected = [(int(h) * n) >> 64 for h in hashes]
-            assert reduce_hashes(hashes, n).tolist() == expected
-
-    def test_uniform_on_non_power_of_two_shards(self):
-        """Regression for the modulo-bias fix: every shard count (power
-        of two or not) must land within a few percent of n/S on a large
-        random table.  The old ``h % n`` passed looser bounds too, but
-        this pins the new reduction's exact-uniformity headroom."""
-        from repro import ShardMap
-
-        rng = np.random.default_rng(12)
-        n = 60_000
-        table = Table(
-            [rng.integers(0, 10**6, size=n), rng.integers(0, 10**6, size=n)],
-            np.ones(n, dtype=bool),
-            n,
-        )
-        for shards in (3, 5, 6, 7, 11):
-            counts = np.bincount(
-                ShardMap(shards).owners(table), minlength=shards
-            )
-            assert counts.min() > 0.95 * n / shards
-            assert counts.max() < 1.05 * n / shards
-
-    def test_ownership_is_contiguous_in_hash_space(self):
-        """Multiply-shift gives each shard one contiguous slice of the
-        hash space — the owner id is monotone in the hash value (which is
-        what makes future range-based migration meaningful)."""
-        from repro.dist.partition import reduce_hashes
-
-        rng = np.random.default_rng(14)
-        hashes = np.sort(rng.integers(0, 2**64, size=8192, dtype=np.uint64))
-        for n in (2, 3, 7, 13):
-            owners = reduce_hashes(hashes, n)
-            assert (np.diff(owners) >= 0).all()
-
-
-class TestVectorizedSplit:
-    def test_split_vectorized_beats_per_shard_take_loop(self):
-        """Micro-benchmark: the single stable-argsort + bincount split
-        must beat the historical per-shard ``take(flatnonzero(owners ==
-        s))`` loop (O(S·N) mask scans).  Best-of-3 each and only a
-        >= 1.2x bar (measured ~1.6x), so scheduler noise cannot flake
-        the assertion while a regression back to per-shard scans still
-        fails."""
-        import time
-
-        from repro import ShardMap
-
-        rng = np.random.default_rng(13)
-        n, shards = 200_000, 32
-        table = Table(
-            [rng.integers(0, 10**6, size=n), rng.integers(0, 10**6, size=n)],
-            np.ones(n, dtype=bool),
-            n,
-        )
-        shard_map = ShardMap(shards)
-
-        def naive(table):
-            owners = shard_map.owners(table)
-            return [
-                table.take(np.flatnonzero(owners == shard))
-                for shard in range(shards)
-            ]
-
-        def best_of(fn, k=3):
-            times = []
-            for _ in range(k):
-                start = time.perf_counter()
-                fn()
-                times.append(time.perf_counter() - start)
-            return min(times)
-
-        fast = best_of(lambda: shard_map.split(table))
-        slow = best_of(lambda: naive(table))
-        assert fast * 1.2 < slow, (
-            f"vectorized split ({fast:.4f}s) should beat the per-shard "
-            f"take loop ({slow:.4f}s)"
-        )
-        # And routing is byte-identical to the loop it replaced.
-        for a, b in zip(shard_map.split(table), naive(table)):
-            assert a.rows() == b.rows()
-            assert np.array_equal(a.tags, b.tags)
-
-    def test_split_routes_keyed_and_split_predicates(self):
-        """Keyed ownership co-locates equal keys; a split override fans
-        one hot key across its owner tuple and nothing else moves."""
-        from repro import ShardMap
-
-        rng = np.random.default_rng(15)
-        n = 5_000
-        keys = rng.integers(0, 50, size=n)
-        keys[: n // 2] = 7  # one heavy key
-        table = Table(
-            [keys, rng.integers(0, 10**6, size=n)], np.ones(n, dtype=bool), n
-        )
-        keyed = ShardMap(4, key_columns={"path": 0})
-        owners = keyed.owners(table, "path")
-        # every row of a key lands on one shard
-        for value in np.unique(keys):
-            assert len(np.unique(owners[keys == value])) == 1
-        split = ShardMap(
-            4, key_columns={"path": 0}, splits={"path": {7: (0, 1, 2, 3)}}
-        )
-        split_owners = split.owners(table, "path")
-        hot = keys == 7
-        assert len(np.unique(split_owners[hot])) > 1
-        assert np.array_equal(split_owners[~hot], owners[~hot])
-        # ownership stays a pure row function: equal rows agree across calls
-        assert np.array_equal(split.owners(table, "path"), split_owners)
-        # and split() reassembles to exactly the owner partition
-        parts = split.split(table, "path")
-        assert sum(p.n_rows for p in parts) == n
-        for shard, part in enumerate(parts):
-            if part.n_rows:
-                assert (split.owners(part, "path") == shard).all()
-
-
-class TestMidFixpointReshard:
-    """Hypothesis property: swapping the ShardMap at *arbitrary* points
-    mid-fixpoint — grow, shrink, hot-key split, and back — never changes
-    rows or tags versus static single-device execution."""
-
-    @staticmethod
-    def _hub_edges():
-        """TC fact base with node 0 a heavy hub, so key 0 is genuinely
-        hot under keyed ownership and split overrides matter."""
-        rng = np.random.default_rng(19)
-        edges = {(0, int(t)) for t in rng.integers(1, 30, size=25)}
-        edges |= {
-            (int(a), int(b))
-            for a, b in zip(
-                rng.integers(0, 30, size=60), rng.integers(0, 30, size=60)
-            )
-            if a != b
-        }
-        return sorted(edges)
-
-    @classmethod
-    def _reference(cls, source, provenance, loader):
-        engine = LobsterEngine(
-            source,
-            provenance=provenance,
-            **PROV_KWARGS.get(provenance, {}),
-        )
-        database = engine.create_database()
-        loader(database)
-        engine.run(database)
-        return engine, database
-
-    @classmethod
-    def _elastic_run(cls, source, provenance, loader, start_shards, schedule):
-        """Run sharded with a reshard_hook that swaps the map per
-        ``schedule`` ({iteration: ShardMap}); returns (engine, db)."""
-        from repro.dist.executor import ShardedExecutor
-
-        engine = LobsterEngine(
-            source,
-            provenance=provenance,
-            shards=start_shards,
-            **PROV_KWARGS.get(provenance, {}),
-        )
-        executor = ShardedExecutor(
-            engine.shard_devices, max_iterations=engine.max_iterations
-        )
-        executor.reshard_hook = (
-            lambda ex, stratum, iteration: schedule.get(iteration)
-        )
-        engine._sharded_executor = executor
-        database = engine.create_database()
-        loader(database)
-        engine.run(database)
-        return engine, database, executor
-
-    @settings(max_examples=12, deadline=None)
-    @given(
-        provenance=st.sampled_from(
-            ["unit", "minmaxprob", "top-k-proofs-device"]
-        ),
-        start_shards=st.integers(2, 3),
-        events=st.lists(
-            st.tuples(
-                st.integers(1, 5),  # iteration to reshard at
-                st.integers(1, 5),  # new shard count
-                st.booleans(),  # keyed on column 0?
-                st.booleans(),  # split the hub key?
-            ),
-            min_size=1,
-            max_size=3,
-            unique_by=lambda e: e[0],
-        ),
-    )
-    def test_tc_reshard_any_iteration(self, provenance, start_shards, events):
-        from repro import ShardMap
-
-        edges = self._hub_edges()
-        probs = list(
-            np.random.default_rng(23).uniform(0.05, 0.99, size=len(edges))
-        )
-        use_probs = provenance != "unit"
-
-        def load(db):
-            db.add_facts("edge", edges, probs=probs if use_probs else None)
-
-        schedule = {}
-        for iteration, n, keyed, split in events:
-            key_columns = {"path": 0, "edge": 0} if keyed else None
-            splits = (
-                {"path": {0: tuple(range(n))}}
-                if keyed and split and n > 1
-                else None
-            )
-            schedule[iteration] = ShardMap(
-                n, key_columns=key_columns, splits=splits
-            )
-        _, base_db = self._reference(TC_PROGRAM, provenance, load)
-        _, shard_db, executor = self._elastic_run(
-            TC_PROGRAM, provenance, load, start_shards, schedule
-        )
-        expected, actual = base_db.result("path"), shard_db.result("path")
-        assert actual.rows() == expected.rows()
-        assert tags_identical(actual.tags, expected.tags)
-        assert executor.reshards_applied >= 1
-
-    @settings(max_examples=6, deadline=None)
-    @given(
-        provenance=st.sampled_from(
-            ["unit", "minmaxprob", "top-k-proofs-device"]
-        ),
-        iteration=st.integers(1, 4),
-        n_shards=st.integers(1, 5),
-    )
-    def test_cspa_reshard_any_iteration(self, provenance, iteration, n_shards):
-        from repro import ShardMap
-
-        rng = np.random.default_rng(5)
-        probs = list(rng.uniform(0.1, 0.99, size=len(CSPA_ASSIGN)))
-        use_probs = provenance != "unit"
-
-        def load(db):
-            db.add_facts(
-                "assign", CSPA_ASSIGN, probs=probs if use_probs else None
-            )
-            db.add_facts("dereference", CSPA_DEREF)
-
-        schedule = {
-            iteration: ShardMap(n_shards, key_columns={"value_flow": 0})
-        }
-        _, base_db = self._reference(CSPA, provenance, load)
-        _, shard_db, executor = self._elastic_run(
-            CSPA, provenance, load, 2, schedule
-        )
-        for predicate in ("value_flow", "memory_alias", "value_alias"):
-            expected = base_db.result(predicate)
-            actual = shard_db.result(predicate)
-            assert actual.rows() == expected.rows()
-            assert tags_identical(actual.tags, expected.tags)
-
-    @pytest.mark.parametrize(
-        "provenance", ["diff-minmaxprob", "diff-top-k-proofs-device"]
-    )
-    def test_gradients_survive_mid_fixpoint_reshard(self, provenance):
-        """Grow 2→4 with a hub split at iteration 2, shrink back to 1 at
-        iteration 4: gradients stay bitwise equal to single-device."""
-        from repro import ShardMap
-
-        edges = self._hub_edges()
-        probs = list(
-            np.random.default_rng(29).uniform(0.05, 0.99, size=len(edges))
-        )
-
-        def load(db):
-            db.add_facts("edge", edges, probs=probs)
-
-        schedule = {
-            2: ShardMap(
-                4,
-                key_columns={"path": 0},
-                splits={"path": {0: (0, 1, 2, 3)}},
-            ),
-            4: ShardMap(1),
-        }
-        single, base_db = self._reference(TC_PROGRAM, provenance, load)
-        sharded, shard_db, executor = self._elastic_run(
-            TC_PROGRAM, provenance, load, 2, schedule
-        )
-        assert executor.reshards_applied == 2
-        rows = base_db.result("path").rows()
-        grad_out = {row: 1.0 for row in rows[::3]}
-        expected = single.backward(base_db, "path", grad_out)
-        actual = sharded.backward(shard_db, "path", grad_out)
-        assert np.array_equal(expected, actual)
+        assert merged.kernel_seconds == pytest.approx(device.profile.kernel_seconds)

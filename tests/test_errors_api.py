@@ -105,6 +105,28 @@ class TestPublicApi:
         with pytest.raises(errors.ProvenanceError, match="'jit'"):
             repro.LobsterEngine("rel p(x) :- q(x).", provenance=provenance, **knob)
 
+    @pytest.mark.parametrize(
+        "knob", [{"shards": 2}, {"shard_devices": []}, {"shard_map": None}]
+    )
+    def test_removed_shard_knobs_are_a_typed_error(self, knob):
+        """Sharding is gone: its keywords fall into the semiring's
+        ``**provenance_kwargs``, which names what it does not accept."""
+        (name,) = knob
+        with pytest.raises(errors.ProvenanceError, match=f"'{name}'"):
+            repro.LobsterEngine("rel p(x) :- q(x).", **knob)
+
+    def test_removed_scale_out_exports_are_gone(self):
+        for name in (
+            "ElasticController",
+            "HashPartitioner",
+            "ReshardPlan",
+            "ReshardPlanner",
+            "ShardMap",
+            "ShardedExecutor",
+        ):
+            assert name not in repro.__all__ and not hasattr(repro, name), name
+        assert len(repro.__all__) == 60
+
     def test_engine_constructor_takes_exactly_the_documented_parameters(self):
         """docs/architecture.md's table is the knob count ROADMAP tracks."""
         text = (Path(__file__).parent.parent / "docs" / "architecture.md").read_text()
@@ -117,4 +139,4 @@ class TestPublicApi:
             if name != "self" and parameter.kind is not parameter.VAR_KEYWORD
         ]
         assert documented == named
-        assert len(named) == 13
+        assert len(named) == 10

@@ -2,8 +2,8 @@
 
 Every trace attribute the obs/ layer exports originates in the fields
 under test here — ``maintained``, ``maintain_fallback``, ``replanned``,
-``shards``, ``shard_profiles``, ``incremental``, ``feedback`` — so each
-execution path (cold, warm incremental, sharded, maintained, adaptive)
+``incremental``, ``feedback`` — so each execution path (cold, warm
+incremental, maintained, adaptive)
 must report them consistently: flags that exclude each other
 never co-assert, and a fallback reason is present exactly when the flag
 says the fast path was not taken.
@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro import LobsterEngine, ProgramCache
-from repro.gpu.device import DeviceProfile
 
 from _helpers import TC_PROGRAM, random_digraph
 
@@ -39,15 +38,6 @@ def assert_flags_consistent(result):
         assert result.maintain_fallback is None
     if result.maintain_fallback is not None:
         assert not result.maintained
-    # Shard accounting: the merged profile is the per-shard profiles'
-    # counter-wise merge, and the list length matches the shard count.
-    if result.shard_profiles is not None:
-        assert len(result.shard_profiles) == result.shards
-        merged = DeviceProfile.merge(result.shard_profiles)
-        assert merged.kernel_launches == result.profile.kernel_launches
-        assert merged.busy_seconds == result.profile.busy_seconds
-    else:
-        assert result.shards == 1
 
 
 class TestColdPath:
@@ -59,8 +49,6 @@ class TestColdPath:
         assert result.maintained is False
         assert result.maintain_fallback is None
         assert result.replanned is False
-        assert result.shards == 1
-        assert result.shard_profiles is None
         assert result.feedback is None  # non-adaptive: no collection
         assert result.iterations > 0
 
@@ -87,28 +75,6 @@ class TestWarmPaths:
         assert_flags_consistent(result)
         assert result.maintained
         assert result.maintain_fallback is None
-
-    def test_sharded_maintain_fallback_reports_reason_and_shards(self):
-        engine = LobsterEngine(TC_PROGRAM, cache=ProgramCache(), shards=2)
-        db = engine.create_database()
-        db.add_facts("edge", [(0, 1), (1, 2), (2, 3), (0, 3)])
-        engine.run(db)
-        db.retract_facts("edge", [(1, 2)])
-        result = engine.run(db)
-        assert_flags_consistent(result)
-        assert not result.maintained
-        assert "sharded" in result.maintain_fallback
-        assert result.shards == 2
-
-
-class TestShardedPath:
-    def test_shard_profiles_cover_every_shard(self):
-        engine = LobsterEngine(TC_PROGRAM, cache=ProgramCache(), shards=3)
-        result = run_fresh(engine)
-        assert_flags_consistent(result)
-        assert result.shards == 3
-        assert len(result.shard_profiles) == 3
-        assert all(p.kernel_launches > 0 for p in result.shard_profiles)
 
 
 class TestAdaptivePath:

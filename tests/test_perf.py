@@ -498,4 +498,3 @@ def test_characterization_is_deterministic():
         assert character.idb_rows > 0
         assert character.iterations >= 1
         assert 0.0 <= character.key_skew <= 1.0
-        assert 0.0 <= character.exchange_fraction <= 1.0

@@ -157,18 +157,6 @@ class TestCostBasedOrdering:
         without = planner.plan_atoms(atoms, [], catalog_of(rows))
         assert with_cmp.estimated_rows < without.estimated_rows
 
-    def test_exchange_cost_priced_for_shards(self):
-        atoms = [atom("a", "x", "y"), atom("b", "y", "z")]
-        rows = {
-            "a": [(i, i % 7) for i in range(300)],
-            "b": [(i % 7, i) for i in range(300)],
-        }
-        local = planner.plan_atoms(atoms, [], catalog_of(rows), CostModel.for_shards(1))
-        sharded = planner.plan_atoms(
-            atoms, [], catalog_of(rows), CostModel.for_shards(4)
-        )
-        assert sharded.estimated_cost > local.estimated_cost
-
 
 def run_pair(source, provenance, loader, **engine_kwargs):
     """(heuristic db, cost-based db) after identical runs."""
@@ -341,18 +329,19 @@ class TestAdaptiveReplanning:
         assert cache.stats.misses == misses_after_two
 
     def test_cost_model_separates_cached_plans(self):
-        """A sharded engine's exchange-priced plan and a single-device
-        plan must not share one cache entry for the same stats bucket."""
+        """Plans costed under different cost models must not share one
+        cache entry for the same stats bucket."""
         from repro.runtime.cache import OptimizationConfig, cache_key, plan_bucket
 
         rows = {"a": [(i, i % 5) for i in range(50)]}
         catalog = catalog_of(rows)
-        single = plan_bucket(catalog, CostModel.for_shards(1))
-        sharded = plan_bucket(catalog, CostModel.for_shards(4))
-        assert single != sharded
+        default = plan_bucket(catalog, CostModel())
+        output_heavy = plan_bucket(catalog, CostModel(output_cost=4.0))
+        assert default != output_heavy
+        assert plan_bucket(catalog, None) == default
         opts = OptimizationConfig()
-        assert cache_key(TC_PROGRAM, "unit", opts, False, single) != cache_key(
-            TC_PROGRAM, "unit", opts, False, sharded
+        assert cache_key(TC_PROGRAM, "unit", opts, False, default) != cache_key(
+            TC_PROGRAM, "unit", opts, False, output_heavy
         )
         assert plan_bucket(None, None) is None
 
@@ -383,50 +372,6 @@ class TestAdaptiveReplanning:
         result = engine.run(db)
         assert result.feedback is None
         assert result.replanned is False
-
-
-class TestShardedFeedback:
-    def test_shard_rows_reported_and_results_identical(self):
-        rng = np.random.default_rng(9)
-        edges = random_digraph(rng, 30, 100)
-        cache = ProgramCache()
-        single = LobsterEngine(TC_PROGRAM, cache=cache)
-        sdb = single.create_database()
-        sdb.add_facts("edge", edges)
-        single.run(sdb)
-
-        sharded = LobsterEngine(TC_PROGRAM, cache=cache, shards=2, adaptive=True)
-        ddb = sharded.create_database()
-        ddb.add_facts("edge", edges)
-        result = sharded.run(ddb)
-        assert result.shards == 2
-        assert result.feedback is not None
-        assert result.feedback.shard_rows  # exchange loop reported
-        assert set(result.feedback.shard_rows) <= {0, 1}
-        assert result.feedback.shard_imbalance() >= 1.0
-        assert ddb.result("path").rows() == sdb.result("path").rows()
-
-    def test_sharded_rule_actuals_not_deflated(self):
-        """Regression: per-shard firings are ~1/N of a rule's global
-        output; reporting them raw would inflate drift ~Nx and trigger
-        spurious re-planning.  The executor must aggregate across shards,
-        so the sharded actuals can never fall below the single-device
-        peak firing."""
-        rng = np.random.default_rng(4)
-        edges = random_digraph(rng, 25, 90)
-
-        def run(shards):
-            engine = LobsterEngine(
-                TC_PROGRAM, cache=ProgramCache(), shards=shards, adaptive=True
-            )
-            db = engine.create_database()
-            db.add_facts("edge", edges)
-            return engine.run(db).feedback
-
-        single = run(1)
-        sharded = run(2)
-        for key, actual in single.rule_actuals.items():
-            assert sharded.rule_actuals.get(key, 0) >= actual
 
 
 class TestServeLoopReplanning:

@@ -1,12 +1,17 @@
 """The one run path, judged against the one requirement table.
 
-Every lane shape (engine device, session, pool, shards) × request kind ×
-program × semiring must resolve to the mode
-:data:`repro.runtime.engine.MODE_REQUIREMENTS` predicts, report the
-predicted fallback reason (or raise the predicted typed error), and
-leave rows and tags bitwise equal to a cold single-device evaluation of
-the same facts.  The prediction below is computed from the test's own
+Every caller shape (engine device, session, pool, and the former
+``shards`` callers) × request kind × program × semiring must resolve to
+the mode :data:`repro.runtime.engine.MODE_REQUIREMENTS` predicts, report
+the predicted fallback reason (or raise the predicted typed error), and
+leave rows and tags bitwise equal to a cold evaluation of the same
+facts.  The prediction below is computed from the test's own
 parameters, never by asking the engine.
+
+One device is the only lane: a caller that still asks for ``shards=N``
+is refused by name before anything runs, and the same request on the
+one-lane engine answers exactly as the sharded engine had to — like a
+cold single-device run.
 """
 
 from __future__ import annotations
@@ -18,24 +23,20 @@ import pytest
 
 from repro import (
     DevicePool,
-    ElasticController,
     LobsterEngine,
     LobsterSession,
-    Request,
     RetractionUnsupportedError,
-    Scheduler,
-    ShardMap,
     Tracer,
     VirtualDevice,
 )
-from repro.errors import DeviceOutOfMemory, ExecutionError, LobsterError
-from repro.obs import validate_trace_events
-from repro.runtime.engine import (
-    IDEMPOTENT,
-    MODE_REQUIREMENTS,
-    NEGATION_FREE,
-    SINGLE_LANE,
+from repro.errors import (
+    DeviceOutOfMemory,
+    ExecutionError,
+    LobsterError,
+    ProvenanceError,
 )
+from repro.obs import validate_trace_events
+from repro.runtime.engine import IDEMPOTENT, MODE_REQUIREMENTS, NEGATION_FREE
 
 TC = "rel path(x, y) :- edge(x, y) or (path(x, z) and edge(z, y))."
 NEGATED = TC + "\nrel apart(x, y) :- node(x), node(y), not path(x, y)."
@@ -53,7 +54,6 @@ NODES = [(n,) for n in range(5)]
 REASON_WORDS = {
     IDEMPOTENT: "non-idempotent",
     NEGATION_FREE: "negation",
-    SINGLE_LANE: "sharded",
 }
 
 SHAPES = ["engine", "session", "pool", "shards", "shards-session"]
@@ -76,6 +76,15 @@ CASES = [
 ]
 
 
+def one_lane_engine(source, shards=1, **knobs):
+    """The engine a caller asking for ``shards`` lanes gets: ``shards=``
+    above one is refused by name, and one device runs the request."""
+    if shards > 1:
+        with pytest.raises(ProvenanceError, match="'shards'"):
+            LobsterEngine(source, shards=shards, **knobs)
+    return LobsterEngine(source, **knobs)
+
+
 def load(db, program, edges, semiring):
     probs = None if semiring == "unit" else [EDGE_PROBS[e] for e in edges]
     db.add_facts("edge", edges, probs=probs)
@@ -83,21 +92,18 @@ def load(db, program, edges, semiring):
         db.add_facts("node", NODES)
 
 
-def first_missing(mode, program, semiring, shards):
+def first_missing(mode, program, semiring):
     """The first property ``mode``'s table row requires that the
     parameters do not provide (None = the mode is sound)."""
-    negated = program == "negated"
     holds = {
         IDEMPOTENT: semiring != "addmultprob",
-        NEGATION_FREE: not negated,
-        # A negated program never shards: it stays on one lane.
-        SINGLE_LANE: shards == 1 or negated,
+        NEGATION_FREE: program != "negated",
     }
     return next((p for p in MODE_REQUIREMENTS[mode] if not holds[p]), None)
 
 
 def assert_matches_cold(db, program, semiring, edges):
-    """Rows and tags bitwise equal to a cold single-device run."""
+    """Rows and tags bitwise equal to a cold run."""
     source, outputs = PROGRAMS[program]
     cold = LobsterEngine(source, provenance=semiring)
     cold_db = cold.create_database()
@@ -115,7 +121,7 @@ def assert_matches_cold(db, program, semiring, edges):
 @pytest.mark.parametrize("shape,request_kind", CASES)
 def test_run_path_matrix(shape, request_kind, program, semiring):
     shards = 2 if shape.startswith("shards") else 1
-    engine = LobsterEngine(PROGRAMS[program][0], provenance=semiring, shards=shards)
+    engine = one_lane_engine(PROGRAMS[program][0], shards, provenance=semiring)
     session = None
     if shape in ("session", "shards-session"):
         session = LobsterSession(engine)
@@ -128,14 +134,11 @@ def test_run_path_matrix(shape, request_kind, program, semiring):
         assert not flags
         return session.run_batch([db])[0]
 
-    # result.shards: a negated program stays on one lane whatever shards= says.
-    lanes = 1 if program == "negated" else shards
-
     db = engine.create_database()
     load(db, program, BASE_EDGES, semiring)
     first = run(db)
     assert (first.incremental, first.maintained) == (False, False)
-    assert first.maintain_fallback is None and first.shards == lanes
+    assert first.maintain_fallback is None
     edges = list(BASE_EDGES)
     if request_kind == "cold":
         assert_matches_cold(db, program, semiring, edges)
@@ -155,7 +158,7 @@ def test_run_path_matrix(shape, request_kind, program, semiring):
         db.add_facts("edge", ADDED_EDGES, probs=probs)
         edges = edges + ADDED_EDGES
         mode = "incremental"
-    missing = first_missing(mode, program, semiring, shards)
+    missing = first_missing(mode, program, semiring)
     demanded = flags.get(mode) is True
     declined = flags.get(mode) is False
 
@@ -169,7 +172,6 @@ def test_run_path_matrix(shape, request_kind, program, semiring):
     taken = mode if missing is None and not declined else "cold"
     assert result.incremental == (taken == "incremental")
     assert result.maintained == (taken == "maintain")
-    assert result.shards == lanes
     if not retracting or taken == "maintain":
         assert result.maintain_fallback is None
     elif declined:
@@ -180,28 +182,23 @@ def test_run_path_matrix(shape, request_kind, program, semiring):
 
 
 class TestShardedAnswersLikeOneDevice:
-    """The drift the two run paths had: on a sharded engine these three
-    requests used to get the sharded path's own answer."""
-
-    @staticmethod
-    def _evaluated(shards):
-        engine = LobsterEngine(TC, shards=shards)
-        db = engine.create_database()
-        db.add_facts("edge", BASE_EDGES)
-        engine.run(db)
-        return engine, db
+    """Requests the matrix does not reach — flags on a never-evaluated
+    database, and ``maintain=False`` reporting itself as the reason —
+    answered by the one lane whatever lane count the caller asked for."""
 
     @pytest.mark.parametrize("shards", [1, 2])
     def test_maintain_false_reports_the_request(self, shards):
-        engine, db = self._evaluated(shards)
+        engine = one_lane_engine(TC, shards)
+        db = engine.create_database()
+        db.add_facts("edge", BASE_EDGES)
+        engine.run(db)
         db.retract_facts("edge", RETRACTED_EDGES)
         result = engine.run(db, maintain=False)
         assert result.maintain_fallback == "maintain=False requested"
-        assert result.shards == shards
 
     @pytest.mark.parametrize("shards", [1, 2])
     def test_retraction_before_any_evaluation_is_no_fallback(self, shards):
-        engine = LobsterEngine(TC, shards=shards)
+        engine = one_lane_engine(TC, shards)
         db = engine.create_database()
         db.add_facts("edge", BASE_EDGES)
         db.finalize()
@@ -212,78 +209,11 @@ class TestShardedAnswersLikeOneDevice:
 
     @pytest.mark.parametrize("shards", [1, 2])
     def test_incremental_flag_on_a_cold_database_is_vacuous(self, shards):
-        engine = LobsterEngine(TC, shards=shards)
+        engine = one_lane_engine(TC, shards)
         db = engine.create_database()
         db.add_facts("edge", BASE_EDGES)
         result = engine.run(db, incremental=True)
-        assert not result.incremental and result.shards == shards
-
-
-class TestSessionFollowsTheLiveEngine:
-    """A session asks the live engine for the lane shape on every query:
-    ``engine.reshard`` may grow or shrink it after the session built its
-    own lanes, and the new layout is the one that must execute."""
-
-    @staticmethod
-    def _loaded(engine):
-        db = engine.create_database()
-        db.add_facts("edge", BASE_EDGES)
-        return db
-
-    @pytest.mark.parametrize("pooled", [False, True])
-    def test_reshard_after_the_session_was_built(self, pooled):
-        engine = LobsterEngine(TC)
-        session = LobsterSession(engine, pool=DevicePool(2) if pooled else None)
-        assert session.run_batch([self._loaded(engine)])[0].shards == 1
-
-        engine.reshard(ShardMap(2))
-        db = self._loaded(engine)
-        assert session.run_batch([db])[0].shards == 2
-        assert_matches_cold(db, "tc", "unit", BASE_EDGES)
-        with pytest.raises(LobsterError, match="sharded"):
-            session.run_batch([self._loaded(engine)], device_index=0)
-
-        db = self._loaded(engine)
-        session.submit(db)
-        report = session.run_all()
-        (result,) = report.results
-        assert result.shards == report.pool_size == 2
-        # The drain accounted the devices the query actually ran on.
-        assert report.profile.kernel_launches == result.profile.kernel_launches > 0
-        assert_matches_cold(db, "tc", "unit", BASE_EDGES)
-
-        engine.reshard(ShardMap(1))
-        assert session.run_batch([self._loaded(engine)])[0].shards == 1
-
-    def test_elastic_engine_provisioned_at_one_shard(self):
-        """ElasticController's default ``min_shards=1`` start: once the
-        controller migrates, the next micro-batch runs the new layout."""
-        from test_reshard import hub_edges
-
-        engine = LobsterEngine(TC)
-        controller = ElasticController(
-            engine,
-            key_columns={"path": 0},
-            max_shards=4,
-            horizon_runs=16,
-            mass_threshold=0.1,
-        )
-        tracer = Tracer()
-        scheduler = Scheduler(n_devices=2, elastic=controller, tracer=tracer)
-        requests = []
-        for index in range(3):  # spaced out: one micro-batch each
-            db = engine.create_database()
-            db.add_facts("edge", hub_edges())
-            requests.append(Request(engine, db, slo="batch", arrival_s=float(index)))
-        report = scheduler.run(requests)
-        assert [p.migrate for p in controller.plans][0] and engine.shards > 1
-        ran_on = [outcome.result.shards for outcome in report.outcomes]
-        assert ran_on == [1, engine.shards, engine.shards]
-        assert len({tuple(r.database.result("path").rows()) for r in requests}) == 1
-        # Elastic execute spans name the shard count the batch ran on
-        # (and, unlike pool batches, carry no batch_span link).
-        executes = [s.attrs for s in tracer.spans if s.name == "serve.execute"]
-        assert executes == [{"batch_size": 1, "shards": n} for n in ran_on]
+        assert not result.incremental
 
 
 class TestFailedRunClosesItsSpan:
@@ -296,18 +226,16 @@ class TestFailedRunClosesItsSpan:
 
     @pytest.mark.parametrize("shards", [1, 2])
     def test_iteration_cap(self, shards):
-        self.check(ExecutionError, shards=shards, max_iterations=2)
+        self.check(ExecutionError, shards, max_iterations=2)
 
     @pytest.mark.parametrize("shards", [1, 2])
     def test_device_oom(self, shards):
         """Dies mid-variant, under open stratum/iteration/variant spans."""
-        devices = [VirtualDevice(capacity_bytes=600) for _ in range(shards)]
-        knobs = {"shard_devices": devices} if shards > 1 else {"device": devices[0]}
-        self.check(DeviceOutOfMemory, **knobs)
+        self.check(DeviceOutOfMemory, shards, device=VirtualDevice(capacity_bytes=600))
 
-    def check(self, error, **knobs):
+    def check(self, error, shards, **knobs):
         tracer = Tracer()
-        engine = LobsterEngine(TC, tracing=tracer, **knobs)
+        engine = one_lane_engine(TC, shards, tracing=tracer, **knobs)
         db = engine.create_database()
         db.add_facts("edge", self.CHAIN)
         with pytest.raises(error):

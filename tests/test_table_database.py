@@ -207,6 +207,44 @@ class TestDatabase:
         db.finalize()
         assert sorted(db.result("edge").rows()) == [(0, 1), (2, 3), (7, 8)]
 
+    def test_float_cells_into_an_int_column_rejected_not_truncated(self):
+        with pytest.raises(FactError, match=r"'edge'.*row 1\b.*column 1"):
+            self.make().add_facts("edge", [(0, 1), (1, 2.5)])
+        self.assert_rejected(self.make(), [(0, np.float64(1.0))], 0)
+        self.assert_rejected(self.make(), np.array([[1.5, 2.0], [2.5, 3.0]]), 0)
+
+    def test_int_above_int64_rejected_at_add_time(self):
+        with pytest.raises(FactError, match=r"'edge'.*row 1\b.*column 0.*int64"):
+            self.make().add_facts("edge", [(0, 1), (2**63, 1)])
+        self.assert_rejected(self.make(), [(0, 1), (1, -(2**63) - 1)], 1)
+        big = np.array([[0, 1], [1, 2], [2**63, 3]], dtype=np.uint64)
+        self.assert_rejected(self.make(), big, 2)
+
+    @pytest.mark.parametrize(
+        "rows", [[(1.7,), (2.2,)], np.array([[1.5], [2.5]]), [(2**63,)]]
+    )
+    def test_declared_i32_relation_rejects_what_it_cannot_hold(self, rows):
+        """Through the engine, against a declared ``i32`` column: these
+        once answered ``[(1,), (2,)]`` or crashed inside ``run()``."""
+        from repro import LobsterEngine
+
+        engine = LobsterEngine("type q(i32)\nrel p(a) = q(a)")
+        db = engine.create_database()
+        with pytest.raises(FactError, match=r"'q'.*row 0\b.*column 0"):
+            db.add_facts("q", rows)
+        assert not db.has_pending_facts
+        engine.run(db)
+        assert db.result("p").rows() == []
+
+    def test_float_columns_take_ints_and_floats(self):
+        db = self.make()
+        db.schemas["score"] = (np.dtype(np.int64), np.dtype(np.float64))
+        db.add_facts("score", [(1, 0.5), (2, 3), (np.int8(3), np.float32(0.25))])
+        with pytest.raises(FactError, match=r"'score'.*row 0\b.*column 0"):
+            db.add_facts("score", [(1.5, 0.5)])
+        db.finalize()
+        assert sorted(db.result("score").rows()) == [(1, 0.5), (2, 3.0), (3, 0.25)]
+
     def test_empty_call_pins_no_schema_for_an_undeclared_relation(self):
         db = self.make()
         assert db.add_facts("score", []).tolist() == []
