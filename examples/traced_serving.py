@@ -9,9 +9,8 @@ span, so the same seed prints this report and exports byte-identical
 Perfetto JSON on every machine, every run.
 
 The script serves a short transitive-closure stream, prints the
-aggregated profile, joins the adaptive planner's estimates onto the
-observed per-rule span times (``explain_run``), and writes a Chrome
-trace-event file you can open at https://ui.perfetto.dev.
+aggregated profile and one request's latency accounting, and writes a
+Chrome trace-event file you can open at https://ui.perfetto.dev.
 
 Usage::
 
@@ -32,7 +31,7 @@ from repro import (
     SLOClass,
     Tracer,
 )
-from repro.obs import explain_run, export_perfetto, profile, validate_trace_events
+from repro.obs import export_perfetto, profile, validate_trace_events
 from repro.workloads.analytics import TRANSITIVE_CLOSURE
 
 TINY = os.environ.get("LOBSTER_BENCH_SCALE") == "tiny"
@@ -104,23 +103,7 @@ def main() -> None:
           f"(reported latency {outcome.latency_s * 1e6:.3f} us)")
     assert abs(accounted - outcome.latency_s) <= 1e-12
 
-    # 3. Plan-vs-observed: an adaptive engine's estimates joined onto
-    # the rule spans its run actually produced.
-    xtracer = Tracer(seed=SEED)
-    adaptive = LobsterEngine(
-        TRANSITIVE_CLOSURE,
-        provenance="minmaxprob",
-        cache=ProgramCache(),
-        adaptive=True,
-        tracing=xtracer,
-    )
-    db = adaptive.create_database()
-    db.add_facts("edge", [(i, i + 1) for i in range(8)] + [(0, 4), (2, 7)],
-                 probs=[0.9] * 10)
-    result = adaptive.run(db)
-    print("\n" + explain_run(result, xtracer))
-
-    # 4. Perfetto export — open the file at https://ui.perfetto.dev.
+    # 3. Perfetto export — open the file at https://ui.perfetto.dev.
     path = sys.argv[1] if len(sys.argv) > 1 else os.path.join(
         tempfile.mkdtemp(prefix="lobster-trace-"), "trace.json"
     )

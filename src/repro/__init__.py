@@ -25,17 +25,12 @@ Public API highlights:
   (:func:`repro.recover`), durable subscription cursors, and the
   database export/import interchange.
 * :class:`repro.ProgramCache` / :func:`repro.default_cache` — the
-  content-addressed compile-once cache behind every engine construction,
-  keyed on (program, stats-bucket) so each observed data shape gets its
-  own cost-based plan.
-* :mod:`repro.stats` — live relation statistics (KMV distinct + count-min
-  frequency sketches), the cardinality estimator and cost model behind
-  the planner, and the plan-feedback loop that re-optimizes adaptive
-  engines (``LobsterEngine(adaptive=True)``) when cardinalities drift.
+  content-addressed compile-once cache behind every engine construction:
+  one plan per program, ordered by the syntactic join heuristic.
 * :mod:`repro.obs` — deterministic end-to-end tracing on the modeled
   clocks: span timelines from request to kernel
   (``LobsterEngine(tracing=True)``, ``Scheduler(tracer=...)``), profile
-  reports, plan-vs-observed ``explain_run``, and Perfetto/Chrome
+  reports, and Perfetto/Chrome
   trace-event export — two same-seed runs export byte-identical JSON.
 * :mod:`repro.provenance` — the semiring library (discrete, probabilistic,
   differentiable).
@@ -77,16 +72,10 @@ from .recovery import (
     import_database,
     recover,
 )
-from .obs import Span, Tracer, explain_run, export_perfetto, profile
+from .obs import Span, Tracer, export_perfetto, profile
 from .runtime.database import Database
 from .runtime.engine import ExecutionResult, LobsterEngine
 from .runtime.session import LobsterSession, SessionReport
-from .stats import (
-    CostModel,
-    PlanFeedback,
-    RelationStats,
-    StatsCatalog,
-)
 from .serve import (
     AdmissionController,
     LoadGenerator,
@@ -118,7 +107,6 @@ __all__ = [
     "CompileError",
     "CompiledProgram",
     "CorruptLogError",
-    "CostModel",
     "Database",
     "DeviceOutOfMemory",
     "DevicePool",
@@ -139,11 +127,9 @@ __all__ = [
     "MaterializedView",
     "OptimizationConfig",
     "ParseError",
-    "PlanFeedback",
     "ProgramCache",
     "RecoveryInfo",
     "RecoveryManager",
-    "RelationStats",
     "RelationStream",
     "ResolutionError",
     "RetractionUnsupportedError",
@@ -152,7 +138,6 @@ __all__ = [
     "SlidingWindow",
     "Span",
     "StaleViewError",
-    "StatsCatalog",
     "StratificationError",
     "StreamReport",
     "StreamScheduler",
@@ -166,7 +151,6 @@ __all__ = [
     "VirtualDevice",
     "__version__",
     "default_cache",
-    "explain_run",
     "export_database",
     "export_perfetto",
     "import_database",

@@ -43,9 +43,8 @@ class Variant:
     #: The DRed over-delete loop keys on this to execute only variants
     #: whose frontier relation actually gained doomed rows.
     frontier: tuple[str, str] | None = None
-    #: Owning rule's plan key (``s<i>r<j>``) — how the interpreter's
-    #: cardinality feedback lines observed firings up with the planner's
-    #: per-rule estimates.
+    #: Owning rule's key (``s<i>r<j>``, stratum and rule index) — the
+    #: label variant spans carry in traces.
     rule_key: str | None = None
 
 

@@ -79,11 +79,6 @@ class ApmInterpreter:
         self.iterations_run = 0
         self._seen_sites: set[str] = set()
         self._retained_bytes = 0
-        #: When set (by the engine, under its drain lock), executed
-        #: variants report observed cardinalities here: join matches,
-        #: selection survivors, and per-rule delta outputs — the actuals
-        #: the adaptive planner compares against its estimates.
-        self.feedback = None
         #: Tracing attachments (set by the engine around a run): the
         #: tracer, a clock mapping this device's busy seconds onto the
         #: modeled timeline, and the span new spans nest under.  The
@@ -608,8 +603,6 @@ class ApmInterpreter:
                 source_cols = [registers[c] for c in src.cols]
                 mask = bytecode.execute(instruction.program, source_cols, n)
                 keep = np.flatnonzero(mask.astype(bool))
-                if self.feedback is not None:
-                    self.feedback.record_instruction("EvalFilter", len(keep))
                 for dst, col in zip(instruction.dst.cols, source_cols):
                     put(dst, col[keep])
                 put(instruction.dst.tags, registers[src.tags][keep])
@@ -632,8 +625,6 @@ class ApmInterpreter:
                 index = registers[instruction.index]
                 probe_cols = [registers[c] for c in instruction.probe.cols[: instruction.width]]
                 probe_ids, build_ids, _counts = index.probe(probe_cols)
-                if self.feedback is not None:
-                    self.feedback.record_instruction("Probe", len(probe_ids))
                 put(instruction.dst_build, build_ids)
                 put(instruction.dst_probe, probe_ids)
 
@@ -690,10 +681,6 @@ class ApmInterpreter:
                     columns = [c[keep] for c in columns]
                     tags = tags[keep]
                 table = Table(columns, tags, len(tags))
-                if self.feedback is not None:
-                    self.feedback.record_instruction("StoreDelta", table.n_rows)
-                    if variant.rule_key is not None:
-                        self.feedback.record_rule(variant.rule_key, table.n_rows)
                 if table.n_rows:
                     deltas[instruction.predicate].append(table)
 

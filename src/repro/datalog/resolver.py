@@ -76,10 +76,18 @@ def resolve(program: ast.ProgramAst, symbols: SymbolTable | None = None) -> Reso
 
     aliases = _resolve_aliases(program.type_aliases)
     schemas: dict[str, tuple[np.dtype, ...]] = {}
+    declared: dict[str, tuple[str, ...]] = {}
     for decl in program.relation_decls:
+        types = tuple(aliases.get(t, t) for t in decl.arg_types)
+        previous = declared.setdefault(decl.name, types)
+        if previous != types:
+            raise ResolutionError(
+                f"relation {decl.name!r} is declared twice with different "
+                f"types: {decl.name}({', '.join(previous)}) and "
+                f"{decl.name}({', '.join(types)})"
+            )
         schemas[decl.name] = tuple(
-            _dtype_of(aliases.get(t, t), decl.name, column)
-            for column, t in enumerate(decl.arg_types)
+            _dtype_of(t, decl.name, column) for column, t in enumerate(types)
         )
 
     flat = desugar_rules(program.rules)

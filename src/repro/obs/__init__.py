@@ -1,10 +1,9 @@
 """obs — deterministic end-to-end tracing on the simulated clocks.
 
 Span timelines from serve request down to APM kernel, with profile
-reports, ``explain_run`` plan diagnosis, and Chrome trace-event /
-Perfetto JSON export.  All timestamps are modeled seconds (serve clock
-+ :class:`~repro.gpu.device.DeviceProfile` busy time), so traces replay
-bit-for-bit per seed.
+reports and Chrome trace-event / Perfetto JSON export.  All timestamps
+are modeled seconds (serve clock + :class:`~repro.gpu.device.DeviceProfile`
+busy time), so traces replay bit-for-bit per seed.
 
 Opt in per layer::
 
@@ -22,7 +21,7 @@ from .export import (
     to_trace_events,
     validate_trace_events,
 )
-from .report import explain_run, profile
+from .report import profile
 from .tracer import NULL_TRACER, NullTracer, Span, Tracer
 
 __all__ = [
@@ -31,7 +30,6 @@ __all__ = [
     "Span",
     "Tracer",
     "dumps_trace_events",
-    "explain_run",
     "export_perfetto",
     "profile",
     "to_trace_events",

@@ -3,17 +3,13 @@
 :func:`profile` renders the span tree top-down (aggregated by name
 path, with totals, counts, and per-phase percentages) followed by a
 flat self-time table — where did the modeled seconds actually go.
-
-:func:`explain_run` joins PR 5's :class:`~repro.stats.PlanFeedback`
-estimated-vs-observed cardinalities onto the per-rule variant spans, so
-a mis-estimate is printed next to the modeled seconds it cost.
 """
 
 from __future__ import annotations
 
 from .tracer import Span
 
-__all__ = ["explain_run", "profile"]
+__all__ = ["profile"]
 
 
 def _spans_of(source) -> list[Span]:
@@ -118,50 +114,5 @@ def profile(source, *, title: str = "trace profile", max_depth: int = 12) -> str
         lines.append(
             f"  {seconds * 1e3:>10.3f}  {100.0 * seconds / denominator:>5.1f}%  "
             f"{count:>6}  {name}"
-        )
-    return "\n".join(lines)
-
-
-def explain_run(result, source=None, *, title: str = "explain run") -> str:
-    """Per-rule plan diagnosis: estimated vs observed output rows (and
-    the drift ratio) from :attr:`ExecutionResult.feedback`, joined with
-    the modeled seconds spent in that rule's variant spans when a trace
-    is supplied.  Rules whose estimates were wildly off appear next to
-    the time the mis-estimate cost."""
-    feedback = getattr(result, "feedback", None)
-    if feedback is None:
-        return f"{title}\n  (no feedback on this result — run an adaptive engine)"
-    rule_seconds: dict[str, float] = {}
-    if source is not None:
-        for span in _spans_of(source):
-            rule = span.attrs.get("rule")
-            if rule is None or span.kind == "instant":
-                continue
-            rule_seconds[rule] = rule_seconds.get(rule, 0.0) + span.duration_s
-    keys = sorted(
-        set(feedback.rule_estimates) | set(feedback.rule_actuals) | set(rule_seconds)
-    )
-    lines = [
-        title,
-        f"  stats bucket: {feedback.stats_bucket or '(none)'}  "
-        f"max drift: {feedback.max_drift():.2f}x",
-        "",
-        f"  {'rule':>8}  {'est rows':>10}  {'obs rows':>10}  {'drift':>7}  "
-        f"{'modeled ms':>11}",
-    ]
-    for key in keys:
-        estimate = feedback.rule_estimates.get(key)
-        actual = feedback.rule_actuals.get(key)
-        if estimate is not None and actual is not None:
-            low, high = sorted((max(estimate, 1.0), max(float(actual), 1.0)))
-            drift = f"{high / low:>6.1f}x"
-        else:
-            drift = f"{'-':>7}"
-        seconds = rule_seconds.get(key)
-        lines.append(
-            f"  {key:>8}  "
-            f"{estimate if estimate is not None else '-':>10}  "
-            f"{actual if actual is not None else '-':>10}  {drift}  "
-            f"{f'{seconds * 1e3:.3f}' if seconds is not None else '-':>11}"
         )
     return "\n".join(lines)

@@ -6,9 +6,8 @@ busy-seconds delta mapped onto it.  Host wall time never enters, so two
 runs with the same seed produce byte-identical traces (the same
 discipline as the serving layer's latency histograms).
 
-Span and trace IDs are splitmix64 over ``(seed, sequence)`` — the same
-finalizer the stats sketches use — so IDs are stable across runs and
-carry no object identity or allocation order.
+Span and trace IDs are splitmix64 over ``(seed, sequence)``, so IDs are
+stable across runs and carry no object identity or allocation order.
 
 The tracer is opt-in and cheap when off: :data:`NULL_TRACER` is a no-op
 singleton whose ``enabled`` is always False, and every instrumentation
@@ -25,7 +24,7 @@ _MASK64 = (1 << 64) - 1
 
 
 def _mix64(value: int) -> int:
-    """Scalar splitmix64 finalizer (same constants as stats/sketches)."""
+    """Scalar splitmix64 finalizer."""
     z = (value + 0x9E3779B97F4A7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -217,8 +216,8 @@ class Tracer:
         track: str | None = None,
         **attrs,
     ) -> Span | None:
-        """A zero-duration instant (admission verdicts, re-plans, WAL
-        appends — markers with no modeled cost of their own)."""
+        """A zero-duration instant (admission verdicts, WAL appends —
+        markers with no modeled cost of their own)."""
         span = self.start(
             name, t=t, parent=parent, track=track, kind="instant", **attrs
         )
@@ -232,11 +231,6 @@ class Tracer:
         from .report import profile
 
         return profile(self.spans, **kwargs)
-
-    def explain_run(self, result, **kwargs) -> str:
-        from .report import explain_run
-
-        return explain_run(result, self.spans, **kwargs)
 
     def to_trace_events(self) -> dict:
         from .export import to_trace_events

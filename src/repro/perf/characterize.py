@@ -3,24 +3,16 @@
 SPEC CPU2026's representativeness methodology (PAPERS.md) argues a
 benchmark suite is only trustworthy if you can *see* where its workloads
 sit in the behavior space.  This module computes that placement for the
-repo's benchmark workloads from machinery that already exists — the
-``stats/`` sketches, the planner feedback an adaptive run records, and
-the modeled :class:`~repro.gpu.device.DeviceProfile` clocks — and
-renders it into the versioned markdown summary, so a reader can check
-the suite spans selective and explosive joins, uniform and skewed keys,
-and shallow and deep recursion.
+repo's benchmark workloads from one plain engine run each and renders
+it into the versioned markdown summary, so a reader can check the suite
+spans small and large inputs, contracting and explosive derivations, and
+shallow and deep recursion.
 
 Per workload (all on fixed seeds, so the report is deterministic and the
 tests pin it):
 
 * ``edb_rows`` / ``idb_rows`` — input size and derived output size;
-* ``iterations`` — fix-point depth (recursion character);
-* ``join_selectivity`` — StoreDelta rows / Probe rows: the fraction of
-  raw join matches that survives filters and dedup into storage;
-* ``probe_amplification`` — Probe rows / EDB rows: join fan-out
-  relative to the input (explosiveness);
-* ``key_skew`` — max over EDB columns of the CMS heavy-hitter fraction
-  (:meth:`~repro.stats.relation_stats.ColumnStats.skew`).
+* ``iterations`` — fix-point depth (recursion character).
 """
 
 from __future__ import annotations
@@ -126,9 +118,6 @@ class WorkloadCharacter:
     edb_rows: int
     idb_rows: int
     iterations: int
-    join_selectivity: float
-    probe_amplification: float
-    key_skew: float
 
     def to_dict(self) -> dict:
         return {
@@ -136,9 +125,6 @@ class WorkloadCharacter:
             "edb_rows": self.edb_rows,
             "idb_rows": self.idb_rows,
             "iterations": self.iterations,
-            "join_selectivity": round(self.join_selectivity, 6),
-            "probe_amplification": round(self.probe_amplification, 6),
-            "key_skew": round(self.key_skew, 6),
         }
 
 
@@ -150,36 +136,17 @@ def _populate(engine, facts):
 
 
 def characterize_one(name, source, query, facts) -> WorkloadCharacter:
-    """Characterize one workload with one cheap adaptive run: plan
-    feedback cardinalities plus the catalog's sketches."""
+    """Characterize one workload with one cheap engine run."""
     from .. import LobsterEngine
 
-    edb_rows = sum(len(rows) for rows in facts.values())
-
-    engine = LobsterEngine(source, provenance="unit", adaptive=True)
+    engine = LobsterEngine(source, provenance="unit")
     db = _populate(engine, facts)
     result = engine.run(db)
-    feedback = result.feedback
-    probe = feedback.instruction_rows.get("Probe", 0) if feedback else 0
-    store = feedback.instruction_rows.get("StoreDelta", 0) if feedback else 0
-    idb_rows = db.result(query).n_rows
-    catalog = db.stats_catalog()
-    skew = 0.0
-    for fact_name in facts:
-        stats = catalog.get(fact_name)
-        if stats is None:
-            continue
-        for column in stats.columns:
-            skew = max(skew, column.skew())
-
     return WorkloadCharacter(
         workload=name,
-        edb_rows=edb_rows,
-        idb_rows=idb_rows,
+        edb_rows=sum(len(rows) for rows in facts.values()),
+        idb_rows=db.result(query).n_rows,
         iterations=result.iterations,
-        join_selectivity=store / probe if probe else 0.0,
-        probe_amplification=probe / edb_rows if edb_rows else 0.0,
-        key_skew=skew,
     )
 
 
@@ -197,14 +164,11 @@ def characterize_workloads(workloads: dict | None = None) -> list[WorkloadCharac
 def render_markdown(characters: list[WorkloadCharacter]) -> list[str]:
     """The characterization table for the versioned summary."""
     lines = [
-        "| workload | EDB rows | IDB rows | iters | join sel. | "
-        "probe ampl. | key skew |",
-        "|---|---|---|---|---|---|---|",
+        "| workload | EDB rows | IDB rows | iters |",
+        "|---|---|---|---|",
     ]
     for ch in characters:
         lines.append(
-            f"| {ch.workload} | {ch.edb_rows} | {ch.idb_rows} | "
-            f"{ch.iterations} | {ch.join_selectivity:.3f} | "
-            f"{ch.probe_amplification:.2f} | {ch.key_skew:.3f} |"
+            f"| {ch.workload} | {ch.edb_rows} | {ch.idb_rows} | {ch.iterations} |"
         )
     return lines

@@ -1,6 +1,6 @@
 """Schema-versioned machine-readable benchmark records (``BENCH_*.json``).
 
-One :class:`SuiteRecord` per benchmark suite (``planner``, ``fig13_tc``,
+One :class:`SuiteRecord` per benchmark suite (``serving``, ``fig13_tc``,
 ...), written as ``BENCH_<suite>.json`` next to the
 versioned markdown summaries under ``benchmarks/results/``.  A record
 carries everything a later run needs to decide whether performance moved:
@@ -9,7 +9,7 @@ carries everything a later run needs to decide whether performance moved:
   seconds — the ``unit`` field says which), warmup count, and derived
   :class:`~repro.perf.stats.TrialStats`;
 * the modeled-clock metrics from :class:`~repro.gpu.device.DeviceProfile`
-  (kernel / exchange / busy seconds, kernel launches) alongside wall
+  (kernel / busy seconds, kernel launches) alongside wall
   time, because the simulator clock is the machine-independent number;
 * an environment fingerprint (python, platform, machine, library
   version), so the regression gate can refuse to compare wall clocks

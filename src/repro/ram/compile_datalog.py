@@ -8,14 +8,9 @@ paper assumes as input ("we assume an existing Datalog compiler is capable
 of converting a user-level program to a mid-level program based on
 relational algebra", §3).
 
-When a :class:`~repro.stats.StatsCatalog` is supplied, atom order comes
-from the cost-based planner (:func:`repro.ram.planner.plan_atoms`) and the
-lowering additionally *narrows* intermediate layouts: after each join,
-variables no longer needed by later atoms, comparisons, negations, or the
-head are projected away, so estimated intermediate widths — not just row
-counts — shrink.  Both changes affect operator order/shape only; the
-produced relation contents are identical either way (asserted bitwise by
-the planner tests across semirings).
+Atom order comes from the syntactic heuristic
+(:func:`repro.ram.planner.order_atoms`), so the lowering is a pure
+function of the source text.
 """
 
 from __future__ import annotations
@@ -23,8 +18,6 @@ from __future__ import annotations
 from ..datalog import ast
 from ..datalog.resolver import ResolvedProgram, ResolvedRule
 from ..errors import CompileError
-from ..stats.estimate import CostModel
-from ..stats.relation_stats import StatsCatalog
 from . import exprs as E
 from . import planner
 from .ir import (
@@ -41,67 +34,39 @@ from .ir import (
 )
 
 
-def compile_program(
-    resolved: ResolvedProgram,
-    stats: StatsCatalog | None = None,
-    cost_model: CostModel | None = None,
-) -> RamProgram:
-    """Lower a resolved Datalog program to RAM.
-
-    ``stats=None`` reproduces the historical syntactic pipeline exactly;
-    with a catalog, rule bodies are ordered by estimated cost instead.
-    """
+def compile_program(resolved: ResolvedProgram) -> RamProgram:
+    """Lower a resolved Datalog program to RAM."""
     strata: list[RamStratum] = []
     for stratum in resolved.strata:
         pred_set = set(stratum.predicates)
         ram_rules: list[RamRule] = []
         for rule in stratum.rules:
-            expr, plan = compile_rule(rule, resolved, stats, cost_model)
+            expr = compile_rule(rule, resolved)
             scans = scans_of(expr)
             recursive_atoms = tuple(
                 index for index, scan in enumerate(scans) if scan.predicate in pred_set
             )
-            ram_rules.append(
-                RamRule(
-                    rule.head,
-                    expr,
-                    recursive_atoms,
-                    estimated_rows=plan.estimated_rows,
-                    estimated_cost=plan.estimated_cost,
-                )
-            )
+            ram_rules.append(RamRule(rule.head, expr, recursive_atoms))
         strata.append(RamStratum(stratum.predicates, ram_rules, stratum.recursive))
     return RamProgram(strata, dict(resolved.schemas), list(resolved.queries))
 
 
-def compile_rule(
-    rule: ResolvedRule,
-    resolved: ResolvedProgram,
-    stats: StatsCatalog | None = None,
-    cost_model: CostModel | None = None,
-):
+def compile_rule(rule: ResolvedRule, resolved: ResolvedProgram):
     if not rule.positives:
         raise CompileError(
             f"rule for {rule.head!r} has no positive body atoms; "
             "use a fact block for ground facts"
         )
-    plan = planner.plan_atoms(rule.positives, rule.comparisons, stats, cost_model)
-    ordered = plan.order
-
-    # Variables with a life after the k-th atom: later atoms, pending
-    # comparisons, negations, and the head all pin a variable live.
-    keep_sets = _live_variables(rule, ordered) if plan.used_stats else None
+    ordered = planner.order_atoms(rule.positives)
 
     current, layout = _compile_atom(ordered[0], resolved)
     applied: set[int] = set()
     current, layout = _apply_ready_comparisons(current, layout, rule.comparisons, applied)
 
-    for position, atom in enumerate(ordered[1:], start=1):
+    for atom in ordered[1:]:
         side, side_layout = _compile_atom(atom, resolved)
         current, layout = _join(current, layout, side, side_layout)
         current, layout = _apply_ready_comparisons(current, layout, rule.comparisons, applied)
-        if keep_sets is not None:
-            current, layout = _narrow(current, layout, keep_sets[position])
 
     if len(applied) != len(rule.comparisons):
         raise CompileError(f"rule for {rule.head!r} has unapplicable comparisons")
@@ -110,40 +75,7 @@ def compile_rule(
         current, layout = _antijoin(current, layout, negated, resolved)
 
     head_exprs = tuple(_term_to_expr(term, layout) for term in rule.head_terms)
-    return Project(current, head_exprs), plan
-
-
-def _live_variables(rule: ResolvedRule, ordered: list[ast.Atom]) -> list[set[str]]:
-    """``keep_sets[k]``: variables still needed after joining atom ``k``."""
-    always: set[str] = set()
-    for term in rule.head_terms:
-        always |= planner.term_vars(term)
-    for atom in rule.negatives:
-        always |= planner.atom_vars(atom)
-    for comparison in rule.comparisons:
-        # Comparisons apply as soon as bound; keeping their variables
-        # live until then is enough, but tracking exact application
-        # points buys little — keep them live throughout.
-        always |= planner.term_vars(comparison.lhs)
-        always |= planner.term_vars(comparison.rhs)
-    keep_sets: list[set[str]] = []
-    suffix: set[str] = set()
-    for atom in reversed(ordered):
-        # Built back to front: when the reversed walk sits on atom k, the
-        # suffix holds vars of atoms k+1.., so the appended set is what
-        # stays live *after* atom k joins.
-        keep_sets.append(set(always) | set(suffix))
-        suffix |= planner.atom_vars(atom)
-    keep_sets.reverse()
-    return keep_sets
-
-
-def _narrow(expr, layout: list[str], keep: set[str]):
-    """Project away dead variables (estimated-width reduction)."""
-    wanted = [name for name in layout if name in keep]
-    if not wanted or wanted == layout:
-        return expr, layout
-    return _permute_exact(expr, layout, wanted), wanted
+    return Project(current, head_exprs)
 
 
 # ---------------------------------------------------------------------------

@@ -83,11 +83,6 @@ class RamRule:
     expr: RamExpr
     #: Predicates of this rule's body atoms that live in the same stratum.
     recursive_atoms: tuple[int, ...] = ()
-    #: Cost-based planner annotations: estimated rows of one full body
-    #: evaluation and total plan cost in tuple units (None when the rule
-    #: was ordered by the zero-statistics heuristic).
-    estimated_rows: float | None = None
-    estimated_cost: float | None = None
 
 
 @dataclass

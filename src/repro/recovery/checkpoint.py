@@ -28,7 +28,7 @@ from ..errors import CheckpointMismatchError, CorruptLogError
 __all__ = ["CheckpointStore", "FORMAT_VERSION", "pack_payload", "unpack_payload"]
 
 #: On-disk layout version; bump on incompatible state_dict changes.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _NAME = re.compile(r"^ckpt-(\d{8})\.ckpt$")
 

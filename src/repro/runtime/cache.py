@@ -14,7 +14,9 @@ This module provides that separation:
   immutable :class:`CompiledProgram` artifact;
 * :class:`ProgramCache` is a content-addressed, thread-safe LRU cache of
   those artifacts, keyed by the *normalized* Datalog source, the
-  provenance name, the :class:`OptimizationConfig`, and the batched flag;
+  provenance name, the :class:`OptimizationConfig`, and the batched flag
+  — nothing data-dependent, so there is one plan per program and every
+  database runs the same artifact;
 * a process-wide default cache (:func:`default_cache`) makes every engine
   construction a warm path after the first.
 
@@ -29,7 +31,7 @@ import hashlib
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..apm.compiler import ApmProgram, compile_ram
 from ..apm.optimizer import optimize
@@ -38,12 +40,10 @@ from ..datalog.resolver import ResolvedProgram, _resolve_fact_blocks, resolve
 from ..interning import SymbolTable
 from ..ram.compile_datalog import compile_program
 from ..ram.ir import RamProgram
-from ..stats.estimate import CostModel
-from ..stats.relation_stats import StatsCatalog
 from .batching import batch_transform
 
 #: Bump when the compiled artifact's layout changes incompatibly.
-CACHE_SCHEMA_VERSION = 1
+CACHE_SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -60,16 +60,10 @@ class OptimizationConfig:
     static_indices: bool = True
     stratum_scheduling: bool = True
     apm_passes: bool = True
-    #: Whether a supplied :class:`~repro.stats.StatsCatalog` may drive
-    #: atom ordering (this repo's cost-based planner).  With no catalog
-    #: the planner always falls back to the syntactic heuristic, so the
-    #: flag only matters for adaptive engines and explicit stats
-    #: compiles — but it is part of the cache key like every other arm.
-    cost_based: bool = True
 
     @classmethod
     def none(cls) -> "OptimizationConfig":
-        return cls(False, False, False, False, False)
+        return cls(False, False, False, False)
 
     def key_fields(self) -> tuple[bool, ...]:
         return (
@@ -77,7 +71,6 @@ class OptimizationConfig:
             self.static_indices,
             self.stratum_scheduling,
             self.apm_passes,
-            self.cost_based,
         )
 
 
@@ -96,12 +89,6 @@ class CompiledProgram:
     batch_fact_rows: dict[str, list[tuple]]
     #: One-time front-end cost of producing this artifact.
     compile_seconds: float
-    #: Bucket key of the statistics catalog this artifact was planned
-    #: under; None for the zero-statistics (syntactic heuristic) plan.
-    stats_bucket: str | None = None
-    #: Planner cardinality estimates per rule (``s<i>r<j>`` keys, the
-    #: interpreter's feedback keys); empty for heuristic plans.
-    rule_estimates: dict[str, float] = field(default_factory=dict)
 
 
 def normalize_source(source: str) -> str:
@@ -126,15 +113,8 @@ def cache_key(
     provenance_name: str,
     optimizations: OptimizationConfig,
     batched: bool,
-    stats_bucket: str | None = None,
 ) -> str:
-    """Content-addressed key for one compiled program.
-
-    ``stats_bucket`` (a :meth:`~repro.stats.StatsCatalog.bucket_key`)
-    keys *plans* rather than just programs: the same source compiled
-    under different data shapes yields different join orders, and each
-    lives in the cache under its own (program, stats-bucket) identity.
-    """
+    """Content-addressed key for one compiled program."""
     hasher = hashlib.sha256()
     hasher.update(f"v{CACHE_SCHEMA_VERSION}\x00".encode())
     hasher.update(normalize_source(source).encode())
@@ -144,33 +124,7 @@ def cache_key(
     hasher.update(repr(optimizations.key_fields()).encode())
     hasher.update(b"\x00")
     hasher.update(b"batched" if batched else b"single")
-    if stats_bucket is not None:
-        hasher.update(b"\x00stats\x00")
-        hasher.update(stats_bucket.encode())
     return hasher.hexdigest()
-
-
-def plan_bucket(
-    stats: StatsCatalog | None, cost_model: CostModel | None
-) -> str | None:
-    """The plan-identity fragment of a cache key: the catalog's bucket
-    plus the cost model's pricing — both shape the chosen join orders,
-    so both must separate cached artifacts."""
-    if stats is None or not stats:
-        return None
-    model = cost_model or CostModel()
-    return f"{stats.bucket_key()}|{model.key()}"
-
-
-def rule_estimates_of(ram: RamProgram) -> dict[str, float]:
-    """Planner estimates keyed the way the interpreter reports actuals
-    (``s<i>r<j>`` — stratum and rule index)."""
-    estimates: dict[str, float] = {}
-    for i, stratum in enumerate(ram.strata):
-        for j, rule in enumerate(stratum.rules):
-            if rule.estimated_rows is not None:
-                estimates[f"s{i}r{j}"] = rule.estimated_rows
-    return estimates
 
 
 def compile_source(
@@ -178,29 +132,9 @@ def compile_source(
     provenance_name: str,
     optimizations: OptimizationConfig,
     batched: bool = False,
-    stats: StatsCatalog | None = None,
-    cost_model: CostModel | None = None,
-    bucket: str | None = None,
 ) -> CompiledProgram:
-    """Run the full pipeline once: parse -> resolve -> RAM -> APM.
-
-    ``stats`` routes atom ordering through the cost-based planner
-    (gated on ``optimizations.cost_based``); the resulting artifact
-    records the catalog's bucket and per-rule cardinality estimates so
-    executions can be checked against the plan's expectations.
-
-    ``bucket`` lets :meth:`ProgramCache.get_or_compile` pin the plan
-    bucket it keyed the cache slot under; computed here otherwise.  The
-    catalog is *live* (other runs may advance relations while this
-    compile proceeds outside the cache lock), so the bucket is fixed
-    once, up front — slot key and artifact key must never diverge, or
-    drift invalidation would target a key the cache never held.
-    """
+    """Run the full pipeline once: parse -> resolve -> RAM -> APM."""
     start = time.perf_counter()
-    if not optimizations.cost_based:
-        stats = None
-    if bucket is None:
-        bucket = plan_bucket(stats, cost_model)
     ast_program = parse(source)
     batch_fact_rows: dict[str, list[tuple]] = {}
     if batched:
@@ -214,19 +148,17 @@ def compile_source(
         resolved = resolve(ast_program, symbols)
     else:
         resolved = resolve(ast_program)
-    ram = compile_program(resolved, stats=stats, cost_model=cost_model)
+    ram = compile_program(resolved)
     apm = compile_ram(ram)
     if optimizations.apm_passes:
         apm = optimize(apm)
     return CompiledProgram(
-        key=cache_key(source, provenance_name, optimizations, batched, bucket),
+        key=cache_key(source, provenance_name, optimizations, batched),
         resolved=resolved,
         ram=ram,
         apm=apm,
         batch_fact_rows=batch_fact_rows,
         compile_seconds=time.perf_counter() - start,
-        stats_bucket=bucket,
-        rule_estimates=rule_estimates_of(ram),
     )
 
 
@@ -235,8 +167,6 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    #: Artifacts dropped by drift-triggered invalidation.
-    invalidations: int = 0
 
     @property
     def lookups(self) -> int:
@@ -279,42 +209,20 @@ class ProgramCache:
                 self._entries.move_to_end(key)
             return entry
 
-    def invalidate(self, key: str) -> bool:
-        """Drop one cached artifact (the adaptive planner's drift path:
-        observed cardinalities strayed too far from the plan's estimates,
-        so the next lookup for this (program, stats-bucket) identity must
-        re-plan against fresh statistics).  Returns whether it was held.
-        """
-        with self._lock:
-            if key in self._entries:
-                del self._entries[key]
-                self.stats.invalidations += 1
-                return True
-            return False
-
     def get_or_compile(
         self,
         source: str,
         provenance_name: str,
         optimizations: OptimizationConfig,
         batched: bool = False,
-        stats: StatsCatalog | None = None,
-        cost_model: CostModel | None = None,
     ) -> tuple[CompiledProgram, bool]:
         """Return ``(artifact, was_hit)`` for the given program identity.
-
-        ``stats`` adds the catalog's bucket to the identity, giving each
-        observed data shape its own compiled plan (a serving fleet's
-        same-shape requests all hit one artifact).
 
         The compile itself runs outside the lock, so a rare race can
         compile the same program twice; last-writer-wins is harmless
         because artifacts for one key are interchangeable.
         """
-        bucket = (
-            plan_bucket(stats, cost_model) if optimizations.cost_based else None
-        )
-        key = cache_key(source, provenance_name, optimizations, batched, bucket)
+        key = cache_key(source, provenance_name, optimizations, batched)
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
@@ -322,10 +230,7 @@ class ProgramCache:
                 self.stats.hits += 1
                 return entry, True
             self.stats.misses += 1
-        compiled = compile_source(
-            source, provenance_name, optimizations, batched, stats, cost_model,
-            bucket=bucket,
-        )
+        compiled = compile_source(source, provenance_name, optimizations, batched)
         with self._lock:
             self._entries[key] = compiled
             self._entries.move_to_end(key)

@@ -39,7 +39,6 @@ from .relation import StoredRelation
 from .table import Table
 from ..errors import FactError, ResolutionError
 from ..provenance.base import Provenance
-from ..stats.relation_stats import RelationStats, StatsCatalog
 
 _INT64_MIN = int(np.iinfo(np.int64).min)
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -426,8 +425,7 @@ class Database:
     def state_dict(self) -> dict:
         """Full serializable state: the input-fact log (rows, ids,
         probabilities, exclusion groups), every stored relation's tables
-        + masks + optional statistics, staged deltas, and the mutation
-        counter.  Everything the constructor plus the add/retract history
+        + masks, staged deltas, and the mutation counter.  Everything the constructor plus the add/retract history
         would have produced — restoring via :meth:`from_state` yields a
         database indistinguishable from the original, including fact-id
         allocation (ids are never reused, so the log is the allocator).
@@ -444,9 +442,6 @@ class Database:
                     "n_rows": rel.full.n_rows,
                     "recent_mask": rel.recent_mask,
                     "changed_mask": rel.changed_mask,
-                    "stats": (
-                        rel.stats.state_dict() if rel.stats is not None else None
-                    ),
                 }
                 for name, rel in self.relations.items()
             },
@@ -510,24 +505,10 @@ class Database:
             )
             rel.recent_mask = np.asarray(rel_state["recent_mask"], dtype=bool)
             rel.changed_mask = np.asarray(rel_state["changed_mask"], dtype=bool)
-            if rel_state["stats"] is not None:
-                rel._stats = RelationStats.from_state(rel_state["stats"])
             database.relations[name] = rel
         return database
 
     # ------------------------------------------------------------------
-
-    def stats_catalog(self) -> StatsCatalog:
-        """Planner statistics for every materialized relation.
-
-        Enables incremental stats maintenance on each relation (a no-op
-        after the first call), so the catalog's
-        :class:`~repro.stats.RelationStats` entries stay current as runs
-        advance the relations.  Before the first run the catalog holds
-        EDB relations only; afterwards it includes observed IDB
-        cardinalities — the feedback the adaptive planner re-plans from.
-        """
-        return StatsCatalog.from_database(self)
 
     def total_bytes(self) -> int:
         return sum(rel.nbytes() for rel in self.relations.values())

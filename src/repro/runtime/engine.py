@@ -28,8 +28,8 @@ a mode whose required properties do not all hold falls back to a rebuild
 and cold rerun, or raises if it was requested explicitly.
 :meth:`LobsterEngine._execute` then runs the plan on one interpreter —
 the caller's warm one (sessions, pools) or a fresh one on
-``engine.device`` — with one attach/detach of feedback and tracer hooks
-and one profile accounting.
+``engine.device`` — with one attach/detach of tracer hooks and one
+profile accounting.  Every run executes the engine's one compiled plan.
 
 Example
 -------
@@ -68,7 +68,6 @@ from ..gpu.device import DeviceProfile, VirtualDevice
 from ..obs import NULL_TRACER, Tracer
 from ..provenance import registry
 from ..provenance.base import Provenance
-from ..stats.feedback import PlanFeedback
 
 __all__ = [
     "ExecutionResult",
@@ -114,12 +113,6 @@ class ExecutionResult:
     #: recompute (retractions applied to the fact log + cold rerun)
     #: instead of maintaining in place; None when no fallback happened.
     maintain_fallback: str | None = None
-    #: Observed-vs-estimated cardinalities for this run (adaptive
-    #: engines; None when feedback collection was off).
-    feedback: PlanFeedback | None = None
-    #: Whether this run executed under a different compiled plan than
-    #: the engine's previous run (the adaptive re-planning path).
-    replanned: bool = False
 
     @property
     def total_seconds(self) -> float:
@@ -204,8 +197,6 @@ class LobsterEngine:
         batched: bool = False,
         max_iterations: int = DEFAULT_MAX_ITERATIONS,
         cache: ProgramCache | None | bool = None,
-        adaptive: bool = False,
-        replan_drift: float = 8.0,
         tracing: bool | Tracer = False,
         **provenance_kwargs,
     ):
@@ -213,21 +204,9 @@ class LobsterEngine:
         pass a :class:`ProgramCache` to scope reuse, or ``False`` to
         force a fresh compilation.
 
-        ``adaptive=True`` turns on statistics-driven re-planning: every
-        run snapshots the database's stats catalog, fetches (or compiles)
-        the cost-based plan for that catalog's bucket from the program
-        cache, and records observed cardinalities into
-        :attr:`ExecutionResult.feedback`.  When a full run's observed
-        rule outputs drift more than ``replan_drift``x from the plan's
-        estimates, the cached artifact is invalidated so the next run —
-        whose catalog now includes the observed intermediate sizes —
-        re-plans.  Results are always bitwise identical to the static
-        plan; only operator order changes.  Requires a real program
-        cache (``cache=False`` is rejected).
-
         ``tracing=True`` (or a :class:`~repro.obs.Tracer`) collects span
-        timelines for every run on the modeled clocks — plan selection,
-        strata, iterations, variants — exportable via
+        timelines for every run on the modeled clocks — strata,
+        iterations, variants — exportable via
         :meth:`~repro.obs.Tracer.export_perfetto`.  Tracing never
         charges the device, so traced results are bitwise identical to
         untraced ones.
@@ -269,31 +248,14 @@ class LobsterEngine:
         if cache is None or cache is True:
             cache = default_cache()
         if cache is False:
-            if adaptive:
-                raise LobsterError(
-                    "adaptive re-planning keys plans in a ProgramCache; "
-                    "pass cache=None (process default) or a ProgramCache"
-                )
             compiled = compile_source(
                 source, self.provenance_name, self.optimizations, batched
             )
             cache_hit = False
-            self._program_cache: ProgramCache | None = None
         else:
             compiled, cache_hit = cache.get_or_compile(
                 source, self.provenance_name, self.optimizations, batched
             )
-            self._program_cache = cache
-        self.adaptive = adaptive
-        self.replan_drift = replan_drift
-        #: Cache key of the plan the previous run executed (adaptive).
-        self._last_plan_key: str | None = None
-        #: Plan keys already invalidated for drift once: a second drift
-        #: report for the same key means the re-planned artifact (same
-        #: bucket, fresher catalog) still mis-estimates — structural
-        #: estimator error, not stale statistics — so repeating the
-        #: invalidate/recompile cycle would thrash the cache forever.
-        self._drift_invalidated: set[str] = set()
         self.compiled: CompiledProgram = compiled
         self.cache_hit = cache_hit
         #: Front-end seconds paid by *this* construction (0.0 on a hit).
@@ -377,29 +339,6 @@ class LobsterEngine:
         reason = self._missing("maintain", database)
         return reason is None, reason
 
-    def _select_plan(self, database: Database) -> CompiledProgram:
-        """The artifact this run executes: the engine's compile-time plan
-        or, adaptive, the cost-based plan for the database's current
-        statistics bucket (compiled once per bucket via the cache)."""
-        if not self.adaptive or self._program_cache is None:
-            return self.compiled
-        if not database.evaluated and not database.has_pending_retractions:
-            # Cold database: loading the EDB now is safe (no warm-path
-            # bookkeeping depends on pending deltas yet) and gives the
-            # planner real input statistics for the very first run.
-            database.finalize()
-        catalog = database.stats_catalog()
-        if not catalog:
-            return self.compiled
-        compiled, _hit = self._program_cache.get_or_compile(
-            self.source,
-            self.provenance_name,
-            self.optimizations,
-            self.batched,
-            stats=catalog,
-        )
-        return compiled
-
     def run(
         self,
         database: Database,
@@ -431,13 +370,6 @@ class LobsterEngine:
         be taken; ``maintain=False`` forces the fallback.  Either way the
         results match a cold evaluation of the surviving facts.
 
-        An *adaptive* engine first routes the run through the plan for
-        the database's statistics bucket (:meth:`_select_plan`), attaches
-        observed cardinalities as :attr:`ExecutionResult.feedback`, and —
-        when a full run drifts past ``replan_drift`` — invalidates the
-        cached plan so the next run re-optimizes.  Every plan computes
-        identical results; adaptivity only moves operator order.
-
         ``reset_profile=False`` accumulates device counters instead of
         zeroing them (used by sessions sharing one device); the returned
         profile still covers only this run.
@@ -449,17 +381,6 @@ class LobsterEngine:
         run's modeled service seconds.
         """
         run_tracer = tracer if tracer is not None else self.tracer
-        active = self._select_plan(database)
-        feedback: PlanFeedback | None = None
-        replanned = False
-        if self.adaptive:
-            feedback = PlanFeedback(
-                stats_bucket=active.stats_bucket,
-                rule_estimates=dict(active.rule_estimates),
-            )
-            previous = self._last_plan_key or self.compiled.key
-            replanned = active.key != previous
-            self._last_plan_key = active.key
         # Resolved before the span opens: a refused request never ran.
         mode, fallback = self._resolve(database, incremental, maintain)
         interpreter = _interpreter or self._make_interpreter(self.device)
@@ -468,57 +389,20 @@ class LobsterEngine:
             run_span = run_tracer.start(
                 "engine.run",
                 parent=span_parent,
-                plan=active.key[:12],
+                plan=self.compiled.key[:12],
                 cache_hit=self.cache_hit,
                 provenance=self.provenance_name,
-                stats_bucket=active.stats_bucket or "",
             )
-            if replanned:
-                run_tracer.event(
-                    "plan.replan", parent=run_span, plan=active.key[:12]
-                )
         result = self._execute(
-            active.apm,
+            self.compiled.apm,
             database,
             mode,
             interpreter,
             reset_profile=reset_profile,
-            feedback=feedback,
             tracer=run_tracer,
             run_span=run_span,
         )
         result.maintain_fallback = fallback
-        if feedback is not None:
-            feedback.relation_rows = {
-                name: rel.n_facts() for name, rel in database.relations.items()
-            }
-            result.feedback = feedback
-            result.replanned = replanned
-            if (
-                active.stats_bucket is not None
-                and not result.incremental
-                and not result.maintained
-                and self._program_cache is not None
-                and active.key not in self._drift_invalidated
-                and feedback.should_replan(self.replan_drift)
-            ):
-                # The plan's estimates no longer describe the data; drop
-                # the artifact so the next lookup re-plans against a
-                # catalog that now includes observed cardinalities.  At
-                # most once per plan key: if the re-planned artifact
-                # drifts again, recompiling cannot help (the bucket is
-                # unchanged), and a hot serving path must not pay a full
-                # recompile per batch.
-                self._drift_invalidated.add(active.key)
-                self._program_cache.invalidate(active.key)
-                if run_span is not None:
-                    run_tracer.event(
-                        "plan.invalidate",
-                        t=run_span.start_s + result.service_seconds,
-                        parent=run_span,
-                        plan=active.key[:12],
-                        drift=round(feedback.max_drift(), 3),
-                    )
         if run_span is not None:
             run_span.attrs.update(
                 iterations=result.iterations,
@@ -602,7 +486,6 @@ class LobsterEngine:
         interpreter: ApmInterpreter,
         *,
         reset_profile: bool,
-        feedback: PlanFeedback | None,
         tracer,
         run_span,
     ) -> ExecutionResult:
@@ -613,7 +496,6 @@ class LobsterEngine:
             profile.reset()
         before = profile.snapshot()
         iterations_before = interpreter.iterations_run
-        interpreter.feedback = feedback
         if run_span is not None:
             # Interior spans (strata, iterations, variants) timestamp
             # themselves off the device busy clock, anchored at the run
@@ -638,7 +520,6 @@ class LobsterEngine:
                 tracer.set_time(end)
             raise
         finally:
-            interpreter.feedback = None
             interpreter.tracer = NULL_TRACER
             interpreter.trace_clock = interpreter.trace_parent = None
         wall = time.perf_counter() - start

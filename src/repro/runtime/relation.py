@@ -28,7 +28,6 @@ import numpy as np
 from .table import Table
 from ..gpu import kernels
 from ..provenance.base import Provenance
-from ..stats.relation_stats import RelationStats
 
 
 def dedup_table(delta: Table, provenance: Provenance) -> Table:
@@ -188,30 +187,8 @@ class StoredRelation:
         self.full = Table.empty(dtypes, provenance)
         self.recent_mask = np.zeros(0, dtype=bool)
         self.changed_mask = np.zeros(0, dtype=bool)
-        #: Opt-in planner statistics (:meth:`enable_stats`); None keeps
-        #: the advance/retract hot paths entirely stats-free.
-        self._stats: RelationStats | None = None
 
     # ------------------------------------------------------------------
-
-    def enable_stats(self) -> RelationStats:
-        """Turn on incremental statistics for this relation.
-
-        The first call summarizes the current ``full`` table; from then
-        on :meth:`advance` folds newly added rows in (exactly equal to a
-        recompute — the sketches are insert-mergeable) and the retraction
-        paths rebuild from the surviving table (min/max and distinct
-        counts cannot shrink incrementally).  Returns the live object, so
-        a :class:`~repro.stats.StatsCatalog` can hold it by reference and
-        observe later mutations without re-snapshotting.
-        """
-        if self._stats is None:
-            self._stats = RelationStats.from_table(self.full)
-        return self._stats
-
-    @property
-    def stats(self) -> RelationStats | None:
-        return self._stats
 
     @property
     def arity(self) -> int:
@@ -275,10 +252,6 @@ class StoredRelation:
         self.full = self.full.take(keep)
         self.recent_mask = np.zeros(self.full.n_rows, dtype=bool)
         self.changed_mask = np.zeros(self.full.n_rows, dtype=bool)
-        if self._stats is not None:
-            # Deletions rebuild: min/max and KMV minima cannot shrink
-            # incrementally, and this path is already O(n).
-            self._stats = RelationStats.from_table(self.full)
         return removed
 
     # ------------------------------------------------------------------
@@ -288,8 +261,6 @@ class StoredRelation:
         self.full = Table.empty(self.dtypes, self.provenance)
         self.recent_mask = np.zeros(0, dtype=bool)
         self.changed_mask = np.zeros(0, dtype=bool)
-        if self._stats is not None:
-            self._stats = RelationStats(self.arity)  # advance() refills
         if table.n_rows:
             self.advance(table)
         self.mark_all_recent()
@@ -317,8 +288,6 @@ class StoredRelation:
             self.full = delta.take(np.flatnonzero(keep))
             self.recent_mask = np.ones(self.full.n_rows, dtype=bool)
             self.changed_mask = np.ones(self.full.n_rows, dtype=bool)
-            if self._stats is not None:
-                self._stats.observe_added(self.full.columns, self.full.n_rows)
             return self.full.n_rows
 
         # Merge sorted full with sorted delta; an origin column (0 = old,
@@ -393,15 +362,6 @@ class StoredRelation:
         )
         self.recent_mask = improved[kept]
         self.changed_mask = changed[kept]
-        if self._stats is not None:
-            # Only brand-new surviving facts change the summarized row
-            # set (tag improvements touch tags, not values), so folding
-            # exactly those keeps the stats equal to a recompute.
-            added = np.flatnonzero(pure_new & keep)
-            if len(added):
-                self._stats.observe_added(
-                    [c[firsts[added]] for c in combined_cols], len(added)
-                )
         return int(self.recent_mask.sum())
 
     # ------------------------------------------------------------------

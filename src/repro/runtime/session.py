@@ -341,11 +341,6 @@ class LobsterSession:
                 self.metrics.counter("session.maintained_runs").inc()
             if result.maintain_fallback is not None:
                 self.metrics.counter("session.maintain_fallbacks").inc()
-            if result.replanned:
-                # Adaptive engines swap plans transparently between
-                # queries; surface each swap so serving dashboards can
-                # see the planner reacting to drifting cardinalities.
-                self.metrics.counter("session.replans").inc()
             self.metrics.histogram("session.service_s").observe(
                 result.service_seconds
             )

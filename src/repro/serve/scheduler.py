@@ -29,14 +29,6 @@ Every submitted request ends in exactly one outcome
 (``completed`` / ``rejected`` / ``shed``); the accounting invariant
 ``submitted == completed + rejected + shed`` is checked at the end of
 every :meth:`Scheduler.run`.
-
-Hot programs re-plan transparently between micro-batches: a request
-whose engine was built with ``adaptive=True`` routes each batch through
-:meth:`LobsterEngine.run <repro.runtime.engine.LobsterEngine.run>`,
-which picks the cost-based plan for the request database's statistics
-bucket and invalidates it when observed cardinalities drift.  The swap
-is visible in this registry as the ``session.replans`` counter; results
-never change, only operator order.
 """
 
 from __future__ import annotations

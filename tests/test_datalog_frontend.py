@@ -183,6 +183,26 @@ class TestResolver:
         resolved = compile_source(f"type Cell = u32\ntype q({name})\n")
         assert resolved.schemas["q"] == (np.dtype(np.int64),)
 
+    @pytest.mark.parametrize(
+        "source, signatures",
+        [
+            (
+                "type q(i32)\ntype q(i64, i64)\nrel p(x) :- q(x, y).",
+                r"q\(i32\) and q\(i64, i64\)",
+            ),
+            ("type q(i32)\ntype q(i64)\n", r"q\(i32\) and q\(i64\)"),
+        ],
+    )
+    def test_conflicting_redeclaration_rejected(self, source, signatures):
+        with pytest.raises(ResolutionError, match=rf"'q'.*{signatures}"):
+            compile_source(source)
+
+    def test_identical_redeclaration_allowed(self):
+        resolved = compile_source(
+            "type Id = i64\ntype q(i64, f64)\ntype q(Id, f64)\nrel p(x) :- q(x, y)."
+        )
+        assert resolved.schemas["q"] == (np.dtype(np.int64), np.dtype(np.float64))
+
 
 class TestStratify:
     def test_linear_dependencies(self):

@@ -115,6 +115,15 @@ class TestPublicApi:
         with pytest.raises(errors.ProvenanceError, match=f"'{name}'"):
             repro.LobsterEngine("rel p(x) :- q(x).", **knob)
 
+    @pytest.mark.parametrize("knob", [{"adaptive": True}, {"replan_drift": 8.0}])
+    def test_removed_adaptive_knobs_are_a_typed_error(self, knob):
+        """Statistics-driven re-planning is gone: its keywords fall into
+        the semiring's ``**provenance_kwargs``, which names what it does
+        not accept."""
+        (name,) = knob
+        with pytest.raises(errors.ProvenanceError, match=f"'{name}'"):
+            repro.LobsterEngine("rel p(x) :- q(x).", **knob)
+
     def test_removed_scale_out_exports_are_gone(self):
         for name in (
             "ElasticController",
@@ -125,7 +134,17 @@ class TestPublicApi:
             "ShardedExecutor",
         ):
             assert name not in repro.__all__ and not hasattr(repro, name), name
-        assert len(repro.__all__) == 60
+        assert len(repro.__all__) == 55
+
+    def test_removed_planner_statistics_exports_are_gone(self):
+        for name in (
+            "CostModel",
+            "PlanFeedback",
+            "RelationStats",
+            "StatsCatalog",
+            "explain_run",
+        ):
+            assert name not in repro.__all__ and not hasattr(repro, name), name
 
     def test_engine_constructor_takes_exactly_the_documented_parameters(self):
         """docs/architecture.md's table is the knob count ROADMAP tracks."""
@@ -139,4 +158,4 @@ class TestPublicApi:
             if name != "self" and parameter.kind is not parameter.VAR_KEYWORD
         ]
         assert documented == named
-        assert len(named) == 10
+        assert len(named) == 8

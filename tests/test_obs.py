@@ -29,7 +29,6 @@ from repro.obs import (
     NULL_TRACER,
     Tracer,
     dumps_trace_events,
-    explain_run,
     export_perfetto,
     profile,
     to_trace_events,
@@ -120,7 +119,7 @@ class TestExport:
         tracer = Tracer(seed=1)
         root = tracer.start("serve.request", t=0.0, track="request#0")
         child = tracer.start("engine.run", t=0.1, parent=root, plan="abc")
-        tracer.event("plan.replan", t=0.15, parent=child, reason="drift")
+        tracer.event("marker", t=0.15, parent=child, reason="probe")
         tracer.finish(child, 0.4)
         tracer.finish(root, 0.5)
         return tracer.spans
@@ -134,7 +133,7 @@ class TestExport:
         assert {e["name"] for e in complete} == {"serve.request", "engine.run"}
         instant = next(e for e in events if e["ph"] == "i")
         assert instant["s"] == "t"
-        assert instant["args"]["reason"] == "drift"
+        assert instant["args"]["reason"] == "probe"
         run = next(e for e in complete if e["name"] == "engine.run")
         assert run["cat"] == "engine"
         assert run["ts"] == pytest.approx(0.1e6)
@@ -215,18 +214,6 @@ class TestEngineTracing:
     def test_disabled_tracing_is_null(self):
         engine = LobsterEngine(TC, cache=ProgramCache())
         assert engine.tracer is NULL_TRACER
-
-    def test_explain_run_joins_feedback_onto_spans(self):
-        tracer = Tracer()
-        engine = LobsterEngine(
-            TC, cache=ProgramCache(), adaptive=True, tracing=tracer
-        )
-        db = engine.create_database()
-        db.add_facts("edge", [(i, i + 1) for i in range(6)])
-        result = engine.run(db)
-        text = explain_run(result, tracer)
-        assert "stats bucket" in text
-        assert "est" in text and "obs" in text
 
     def test_profile_report_renders(self):
         tracer = Tracer()

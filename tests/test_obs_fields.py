@@ -1,10 +1,9 @@
 """ExecutionResult observability fields across execution paths.
 
 Every trace attribute the obs/ layer exports originates in the fields
-under test here — ``maintained``, ``maintain_fallback``, ``replanned``,
-``incremental``, ``feedback`` — so each execution path (cold, warm
-incremental, maintained, adaptive)
-must report them consistently: flags that exclude each other
+under test here — ``maintained``, ``maintain_fallback`` and
+``incremental`` — so each execution path (cold, warm incremental,
+maintained) must report them consistently: flags that exclude each other
 never co-assert, and a fallback reason is present exactly when the flag
 says the fast path was not taken.
 """
@@ -20,14 +19,11 @@ from _helpers import TC_PROGRAM, random_digraph
 EDGES = random_digraph(np.random.default_rng(11), 30, 80)
 
 
-def run_fresh(engine, edges=EDGES, probs=None, n_runs=1):
-    """Run ``n_runs`` fresh databases; return the last result."""
-    result = None
-    for _ in range(n_runs):
-        db = engine.create_database()
-        db.add_facts("edge", edges, probs)
-        result = engine.run(db)
-    return result
+def run_fresh(engine):
+    """Run one fresh database over ``EDGES``."""
+    db = engine.create_database()
+    db.add_facts("edge", EDGES)
+    return engine.run(db)
 
 
 def assert_flags_consistent(result):
@@ -48,8 +44,6 @@ class TestColdPath:
         assert result.incremental is False
         assert result.maintained is False
         assert result.maintain_fallback is None
-        assert result.replanned is False
-        assert result.feedback is None  # non-adaptive: no collection
         assert result.iterations > 0
 
 
@@ -75,17 +69,3 @@ class TestWarmPaths:
         assert_flags_consistent(result)
         assert result.maintained
         assert result.maintain_fallback is None
-
-
-class TestAdaptivePath:
-    def test_replanned_and_feedback_populate_together(self):
-        engine = LobsterEngine(TC_PROGRAM, cache=ProgramCache(), adaptive=True)
-        first = run_fresh(engine)
-        assert_flags_consistent(first)
-        assert first.replanned  # compile-time plan -> stats-bucket plan
-        assert first.feedback is not None
-        assert first.feedback.stats_bucket is not None
-        assert first.feedback.rule_estimates
-        second = run_fresh(engine)
-        assert_flags_consistent(second)
-        assert second.replanned is False  # same shape: plan reused

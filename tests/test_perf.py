@@ -497,4 +497,7 @@ def test_characterization_is_deterministic():
         assert character.edb_rows > 0
         assert character.idb_rows > 0
         assert character.iterations >= 1
-        assert 0.0 <= character.key_skew <= 1.0
+        assert set(character.to_dict()) == {
+            "workload", "edb_rows", "idb_rows", "iterations"
+        }
+    assert len(characterize.render_markdown(first)) == 2 + len(first)

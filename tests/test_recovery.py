@@ -11,11 +11,10 @@ and tumbling windows.
 Equality is over everything a consumer can observe: per-relation result
 maps (bit-exact float probabilities), the view baseline, the retained
 delta history (ticks, inserted/retracted rows — timing fields excluded:
-device warm state legitimately differs across processes), and the
-statistics catalog's plan bucket.  Alongside: exactly-once subscription
-delivery across crash boundaries, torn-tail vs corrupt-at-rest
-semantics, stale-checkpoint fallback, codec/stats round-trips, and the
-database export/import interchange.
+device warm state legitimately differs across processes).  Alongside:
+exactly-once subscription delivery across crash boundaries, torn-tail vs
+corrupt-at-rest semantics, stale-checkpoint fallback, codec round-trips,
+and the database export/import interchange.
 """
 
 from __future__ import annotations
@@ -36,10 +35,10 @@ from repro import (
     RecoveryManager,
     recover,
 )
+from repro.recovery import FORMAT_VERSION
 from repro.recovery.codec import decode, encode
 from repro.recovery.framing import frame, read_frames
 from repro.recovery.storage import LocalStorage
-from repro.stats import RelationStats, StatsCatalog
 from repro.stream import RelationStream, SlidingWindow, TumblingWindow
 from repro.workloads.analytics import CSPA
 
@@ -120,7 +119,6 @@ def fingerprint(view: MaterializedView) -> dict:
         ],
         "ticks": view.ticks_applied,
         "pruned": view.pruned_ticks,
-        "stats_bucket": view.database.stats_catalog().bucket_key(),
     }
 
 
@@ -467,57 +465,25 @@ class TestMismatches:
         with pytest.raises(CheckpointMismatchError):
             recover(root, {"s": (engine, feed)})
 
-
-class TestStatsRoundTrip:
-    """Satellite: checkpoint restore keeps the plan-cache bucket valid."""
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        rows=st.lists(
-            st.tuples(st.integers(0, 50), st.integers(-9, 9)),
-            min_size=0,
-            max_size=120,
-        )
-    )
-    def test_relation_stats_roundtrip_exact(self, rows):
-        from repro.provenance.registry import create as create_provenance
-        from repro.runtime.relation import StoredRelation
-        from repro.runtime.table import Table
-
-        provenance = create_provenance("unit")
-        relation = StoredRelation(
-            "r", (np.dtype(np.int64), np.dtype(np.int64)), provenance
-        )
-        stats = relation.enable_stats()
-        if rows:
-            tags = provenance.input_tags(np.full(len(rows), -1, dtype=np.int64))
-            relation.advance(
-                Table.from_rows(rows, relation.dtypes, tags)
-            )
-        restored = RelationStats.from_state(decode(encode(stats.state_dict())))
-        assert restored == stats  # sketch state included (KMV + CMS)
-        assert restored.bucket() == stats.bucket()
-
-    def test_catalog_bucket_survives_database_roundtrip(self):
-        from repro.runtime.database import Database
-
+    def test_format_1_checkpoint_is_refused(self, tmp_path):
+        """Format 1 carried a per-relation ``"stats"`` slot; a format-1
+        file on disk must be refused, not decoded into format-2 state."""
+        root = self._checkpointed_dir(tmp_path)
+        checkpoints = sorted(root.glob("ckpt-*.ckpt"))
+        for path in checkpoints:
+            header_bytes, payload_bytes = read_frames(
+                path.read_bytes(), strict=True
+            ).payloads
+            header, payload = decode(header_bytes), decode(payload_bytes)
+            assert header["format"] == FORMAT_VERSION == 2
+            for relation in payload["streams"]["s"]["database"]["relations"].values():
+                assert "stats" not in relation
+                relation["stats"] = None
+            header["format"] = 1
+            path.write_bytes(frame(encode(header)) + frame(encode(payload)))
         engine, feed = tc_setup("minmaxprob")
-        view = MaterializedView(engine, name="s")
-        for _ in range(5):
-            view.apply(feed.advance())
-        catalog = view.database.stats_catalog()
-        key = catalog.bucket_key()
-        assert key  # non-trivial catalog
-
-        restored = Database.from_state(
-            decode(encode(view.database.state_dict())),
-            engine._provenance_factory(),
-        )
-        restored_catalog = restored.stats_catalog()
-        assert restored_catalog.bucket_key() == key
-        assert StatsCatalog.from_database(restored).relations.keys() == (
-            catalog.relations.keys()
-        )
+        with pytest.raises(CheckpointMismatchError, match="format 1"):
+            recover(root, {"s": (engine, feed)})
 
 
 class TestCodec:
