@@ -23,6 +23,56 @@ def exclusive_scan(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def pack_params(
+    columns: Sequence[np.ndarray],
+    within: Sequence[tuple[int, int]] | None = None,
+) -> list[tuple[int, int]] | None:
+    """Per-column ``(lo, bits)`` radix-pack parameters.
+
+    Column ``j`` packs to ``bits`` bits holding ``value - lo``, so every
+    value of ``columns[j]`` — and every value the optional ``within[j]``
+    parameters already cover — lies in ``[lo, lo + 2**bits)``.  Passing
+    the current parameters as ``within`` therefore returns them unchanged
+    exactly when the new columns fit inside them.  Returns None when
+    there are no columns, a column is floating point, or the rows need
+    more than 63 bits.
+    """
+    if not columns:
+        return None
+    params: list[tuple[int, int]] = []
+    total_bits = 0
+    for j, col in enumerate(columns):
+        col = np.asarray(col)
+        if col.dtype.kind == "f":
+            return None
+        lo, hi = (int(col.min()), int(col.max())) if len(col) else (None, None)
+        if within is not None:
+            w_lo, w_bits = within[j]
+            w_hi = w_lo + (1 << w_bits) - 1
+            lo, hi = (w_lo, w_hi) if lo is None else (min(lo, w_lo), max(hi, w_hi))
+        elif lo is None:
+            lo = hi = 0
+        bits = max(hi - lo, 1).bit_length()
+        total_bits += bits
+        if total_bits > 63:
+            return None
+        params.append((lo, bits))
+    return params
+
+
+def pack_keys(
+    columns: Sequence[np.ndarray], params: Sequence[tuple[int, int]]
+) -> np.ndarray:
+    """Pack rows into uint64 keys under fixed ``(lo, bits)`` per column
+    (see :func:`pack_params`); key order is lexicographic row order.
+    Every value must lie inside its column's range."""
+    packed = None
+    for col, (lo, bits) in zip(columns, params):
+        shifted = (np.asarray(col).astype(np.int64, copy=False) - lo).astype(np.uint64)
+        packed = shifted if packed is None else (packed << np.uint64(bits)) | shifted
+    return packed
+
+
 def pack_rows(columns: Sequence[np.ndarray]) -> np.ndarray | None:
     """Pack integer rows into single uint64 sort keys when ranges permit.
 
@@ -31,28 +81,8 @@ def pack_rows(columns: Sequence[np.ndarray]) -> np.ndarray | None:
     general lexsort.  Returns None when any column is floating point or
     the combined key range overflows 64 bits.
     """
-    if not columns:
-        return None
-    total_bits = 0
-    shifted: list[np.ndarray] = []
-    widths: list[int] = []
-    for col in columns:
-        col = np.asarray(col)
-        if col.dtype.kind == "f":
-            return None
-        lo = col.min() if len(col) else 0
-        hi = col.max() if len(col) else 0
-        span = int(hi) - int(lo) + 1
-        bits = max(span - 1, 1).bit_length()
-        total_bits += bits
-        if total_bits > 63:
-            return None
-        shifted.append((col - lo).astype(np.uint64))
-        widths.append(bits)
-    packed = shifted[0]
-    for col, bits in zip(shifted[1:], widths[1:]):
-        packed = (packed << np.uint64(bits)) | col
-    return packed
+    params = pack_params(columns)
+    return None if params is None else pack_keys(columns, params)
 
 
 def lex_rank(columns: Sequence[np.ndarray]) -> np.ndarray:
@@ -79,7 +109,12 @@ def sort_rows(columns: Sequence[np.ndarray]) -> tuple[list[np.ndarray], np.ndarr
     return [np.asarray(c)[order] for c in columns], order
 
 def row_group_boundaries(columns: Sequence[np.ndarray]) -> np.ndarray:
-    """Boolean mask marking the first row of each run of equal sorted rows."""
+    """Boolean mask marking the first row of each run of equal sorted rows.
+
+    Values compare with ``==``, except that all NaNs in a column are one
+    value (as in ``np.unique(equal_nan=True)``; sorting puts them last,
+    so they are adjacent).  ``-0.0`` and ``0.0`` are equal.
+    """
     if not columns or len(columns[0]) == 0:
         return np.zeros(0, dtype=bool)
     n = len(columns[0])
@@ -87,7 +122,11 @@ def row_group_boundaries(columns: Sequence[np.ndarray]) -> np.ndarray:
     is_first[0] = True
     for col in columns:
         col = np.asarray(col)
-        is_first[1:] |= col[1:] != col[:-1]
+        differs = col[1:] != col[:-1]
+        if col.dtype.kind == "f":
+            nan = np.isnan(col)
+            differs &= ~(nan[1:] & nan[:-1])
+        is_first[1:] |= differs
     return is_first
 
 
@@ -108,17 +147,35 @@ def unique_rows(
 
 
 def merge_sorted(
-    left: Sequence[np.ndarray], right: Sequence[np.ndarray]
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Merge two lexicographically sorted tables (the ``merge`` instruction).
+    left: Sequence[np.ndarray],
+    right: Sequence[np.ndarray],
+    positions: np.ndarray,
+) -> list[np.ndarray]:
+    """Merge sorted rows into a sorted table (the ``merge`` instruction).
 
-    Returns the merged (still sorted) columns and the permutation mapping
-    concatenated input rows (left rows first) to output positions — callers
-    use it to carry tags along.
+    ``positions[i]`` (non-decreasing) is the number of ``left`` rows that
+    sort before ``right`` row ``i`` — a ``searchsorted`` result.  Right row
+    ``i`` lands at ``positions[i] + i``; left row ``j`` at ``j`` plus the
+    number of right rows inserted before it.  ``left`` and ``right`` are
+    parallel lists of arrays (value columns, tags, masks, keys), each
+    spliced in one pass; nothing is sorted and the inputs are not
+    written.
     """
-    concat = [np.concatenate([np.asarray(l), np.asarray(r)]) for l, r in zip(left, right)]
-    order = lex_rank(concat)
-    return [c[order] for c in concat], order
+    k = len(positions)
+    n = len(left[0]) if left else 0
+    slots = positions + np.arange(k)
+    keep = np.ones(n + k, dtype=bool)
+    keep[slots] = False
+    # A boolean-mask store walks the mask run by run, so past a few
+    # percent of insertions one index scatter is cheaper per array.
+    dest = np.flatnonzero(keep) if 32 * k > n else keep
+    merged = []
+    for old, new in zip(left, right):
+        out = np.empty((n + k,) + old.shape[1:], dtype=old.dtype)
+        out[slots] = new
+        out[dest] = old
+        merged.append(out)
+    return merged
 
 
 def gather(indices: np.ndarray, columns: Sequence[np.ndarray]) -> list[np.ndarray]:

@@ -7,9 +7,35 @@ delta facts in:
 
 * the delta is sorted and deduplicated, combining duplicate tags with ⊕
   (the APM ``sort``/``unique⟨⊕⟩`` sequence of Appendix A's "Stratum" rule);
-* the deduplicated delta is merged against ``full`` (the ``merge``
-  instruction); a fact re-enters the frontier if it is brand new or its
-  tag strictly improved (tag saturation).
+* each deduplicated row is *located* in ``full`` (its insertion position
+  and whether it is already there);
+* rows already in ``full`` are ⊕-merged where they sit — no row moves;
+* brand-new rows are spliced in at their positions (the ``merge``
+  instruction, :func:`~repro.gpu.kernels.merge_sorted`): one pass per
+  column, tag, key and mask, no re-sort of ``full``.
+
+A fact re-enters the frontier if it is brand new or its tag strictly
+improved (tag saturation).
+
+Locating runs against a host-side index, :class:`RowLocator`, that the
+relation caches beside ``full``: ``full``'s rows packed into ``uint64``
+keys under fixed per-column ``(lo, bits)`` (the radix-pack trick
+:func:`~repro.gpu.kernels.lex_rank` uses), so a lookup is one
+``searchsorted``.  The spliced keys become the next ``full``'s index;
+``full``'s rows are re-packed only when a delta value falls outside a
+column's range.  The cache is valid while ``full`` is the very object it
+was built for, so anything that assigns ``full`` (``remove_rows``,
+``set_facts``, ``Database.from_state``) invalidates it.  The keys are an
+index, not relation data: :meth:`StoredRelation.nbytes` does not count
+them, and the modeled device clock never sees them.  Rows that do not
+pack (float columns, rows wider than 63 bits, arity 0) are located by
+sorting ``full`` together with the delta and grouping equal rows, then
+take the same splice.  Row equality treats every NaN in a column as one
+value and ``-0.0`` as ``0.0``, in deduplication and location alike.
+
+``advance`` never writes into an array it did not just allocate: a
+``Table`` handed out earlier by ``snapshot``, ``Database.result`` or
+``Database.state_dict`` keeps its contents.
 
 Alongside the per-iteration ``recent`` frontier, each relation keeps a
 ``changed`` mask accumulating every row added or improved since
@@ -50,87 +76,95 @@ def dedup_table(delta: Table, provenance: Provenance) -> Table:
 
 
 class RowLocator:
-    """Membership lookups against one (lexicographically sorted) table.
+    """Where rows sit in one (lexicographically sorted) table.
 
-    The over-delete phase of DRed-style maintenance repeatedly asks
-    "which of these candidate rows exist in ``full``?" while ``full`` is
-    guaranteed static.  Building the locator once per maintain pass makes
-    each lookup a binary search over a packed 64-bit key column (the same
-    radix-pack trick :func:`~repro.gpu.kernels.lex_rank` uses) instead of
-    a fresh O((n+q) log) sort; tables whose rows cannot pack (floats,
-    >63 bits) fall back to the concatenate-and-rank path per call.
+    Lookups are a binary search over the table's rows packed into 64-bit
+    keys (the same radix-pack trick :func:`~repro.gpu.kernels.lex_rank`
+    uses) instead of a fresh O((n+q) log) sort.  ``keys`` is
+    ``(params, packed)`` when the caller already holds the table's packed
+    rows (a :class:`StoredRelation`'s cached index); by default the rows
+    are packed here under parameters fitted to the table.  Tables whose
+    rows cannot pack (floats, >63 bits, arity 0) — ``params`` None — fall
+    back to the concatenate-and-rank path per call.
     """
 
-    def __init__(self, table: Table):
+    def __init__(
+        self,
+        table: Table,
+        keys: tuple[list[tuple[int, int]] | None, np.ndarray | None] | None = None,
+    ):
         self._table = table
-        self._params: list[tuple[int, int]] | None = None  # (lo, bits) per col
-        self._packed: np.ndarray | None = None
-        if table.arity and table.n_rows and all(
-            c.dtype.kind != "f" for c in table.columns
-        ):
-            params: list[tuple[int, int]] = []
-            total_bits = 0
-            for col in table.columns:
-                lo, hi = int(col.min()), int(col.max())
-                bits = max(hi - lo, 1).bit_length()
-                total_bits += bits
-                params.append((lo, bits))
-            if total_bits <= 63:
-                self._params = params
-                self._packed = self._pack(table.columns)[0]
+        if keys is None:
+            params = kernels.pack_params(table.columns) if table.n_rows else None
+            keys = (params, None if params is None else kernels.pack_keys(table.columns, params))
+        #: (lo, bits) per column, or None when the rows are not packed.
+        self.params: list[tuple[int, int]] | None = keys[0]
+        self.keys: np.ndarray | None = keys[1]
 
-    def _pack(self, columns) -> tuple[np.ndarray, np.ndarray]:
-        """Pack query columns with the table's offsets/widths; rows whose
-        values fall outside the table's per-column range can never match
-        and are reported through the validity mask."""
-        assert self._params is not None
-        n = len(columns[0])
-        packed = np.zeros(n, dtype=np.uint64)
-        valid = np.ones(n, dtype=bool)
-        for col, (lo, bits) in zip(columns, self._params):
-            col = np.asarray(col).astype(np.int64)
-            valid &= (col >= lo) & (col - lo < (1 << bits))
-            shifted = np.clip(col - lo, 0, (1 << bits) - 1).astype(np.uint64)
-            packed = (packed << np.uint64(bits)) | shifted
-        return packed, valid
-
-    def contains(self, columns, n_query: int | None = None) -> np.ndarray:
-        """Boolean mask over the *query* rows present in the table (the
-        opposite direction of :meth:`member_mask`).  ``n_query`` must be
-        passed for arity-0 queries (no columns to measure)."""
+    def locate(
+        self, columns, n_query: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """``(pos, hit, query_keys)`` per query row: how many table rows
+        sort strictly before it, whether it is in the table, and the query
+        rows packed under :attr:`params` (None when unpacked).  On the
+        packed path every query value must lie inside its column's packed
+        range (``kernels.pack_params(columns, self.params) ==
+        self.params``); :meth:`contains` and :meth:`member_mask` filter
+        out-of-range rows first."""
         table = self._table
-        if n_query is None:
-            n_query = len(columns[0]) if columns else 0
         if table.arity == 0:
-            # Every arity-0 query row is the empty tuple, present iff the
-            # table is nonempty.
-            return np.full(n_query, table.n_rows > 0, dtype=bool)
-        if table.n_rows == 0 or n_query == 0:
-            return np.zeros(n_query, dtype=bool)
-        if self._packed is not None:
-            query, valid = self._pack(columns)
-            idx = np.searchsorted(self._packed, query, side="left")
-            in_range = idx < len(self._packed)
-            hit = np.zeros(n_query, dtype=bool)
-            hit[in_range] = self._packed[idx[in_range]] == query[in_range]
-            return hit & valid
+            # Every arity-0 row is the empty tuple: present iff the table
+            # is nonempty, and sorting before nothing.
+            return (
+                np.zeros(n_query, dtype=np.int64),
+                np.full(n_query, table.n_rows > 0, dtype=bool),
+                None,
+            )
+        if self.keys is not None:
+            query = kernels.pack_keys(columns, self.params)
+            pos = np.searchsorted(self.keys, query)
+            if table.n_rows == 0:
+                return pos, np.zeros(n_query, dtype=bool), query
+            return pos, self.keys[np.minimum(pos, table.n_rows - 1)] == query, query
         origin, order, segment_ids = self._merged_groups(columns, n_query)
-        nseg = int(segment_ids[-1]) + 1 if len(segment_ids) else 0
-        seg_has_full = np.zeros(nseg, dtype=bool)
-        seg_has_full[segment_ids[origin == 0]] = True
+        from_table = origin == 0
+        seg_has_table = np.zeros(int(segment_ids[-1]) + 1, dtype=bool)
+        seg_has_table[segment_ids[from_table]] = True
+        # Table rows sort first in their group, so a query row's group
+        # mate (if any) is among the table rows counted before it.
+        table_before = np.cumsum(from_table)
+        is_query = ~from_table
+        rows = order[is_query] - table.n_rows
         hit = np.zeros(n_query, dtype=bool)
-        query_positions = order[origin == 1] - table.n_rows
-        hit[query_positions] = seg_has_full[segment_ids[origin == 1]]
-        return hit
+        hit[rows] = seg_has_table[segment_ids[is_query]]
+        pos = np.empty(n_query, dtype=np.int64)
+        pos[rows] = table_before[is_query] - hit[rows]
+        return pos, hit, None
+
+    def _in_range(self, columns) -> tuple[list[np.ndarray], np.ndarray | None]:
+        """The query rows a packed lookup can take, and their indices
+        (None: all of them).  A row with a value outside its column's
+        packed range is in no table row."""
+        if self.keys is None:
+            return list(columns), None
+        valid = None
+        for col, (lo, bits) in zip(columns, self.params):
+            col = np.asarray(col)
+            inside = (col >= lo) & (col <= lo + (1 << bits) - 1)
+            valid = inside if valid is None else valid & inside
+        if valid.all():
+            return list(columns), None
+        rows = np.flatnonzero(valid)
+        return [np.asarray(c)[rows] for c in columns], rows
 
     def _merged_groups(
         self, columns, n_query: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The unpackable-rows fallback shared by :meth:`contains` and
-        :meth:`member_mask`: merge-sort the table's rows with the query
-        rows and group equal rows.  Returns ``(origin, order,
-        segment_ids)`` in sorted position order, where ``origin`` is 0
-        for table rows and 1 for query rows."""
+        """The unpackable-rows fallback of :meth:`locate`: merge-sort the
+        table's rows with the query rows and group equal rows.  Returns
+        ``(origin, order, segment_ids)`` in sorted position order, where
+        ``origin`` is 0 for table rows and 1 for query rows (the least
+        significant sort key, so table rows lead their group)."""
         table = self._table
         combined = [
             np.concatenate([fc, np.asarray(qc).astype(fc.dtype)])
@@ -147,6 +181,22 @@ class RowLocator:
         is_first = kernels.row_group_boundaries(combined)
         return origin[order], order, np.cumsum(is_first) - 1
 
+    def contains(self, columns, n_query: int | None = None) -> np.ndarray:
+        """Boolean mask over the *query* rows present in the table (the
+        opposite direction of :meth:`member_mask`).  ``n_query`` must be
+        passed for arity-0 queries (no columns to measure)."""
+        table = self._table
+        if n_query is None:
+            n_query = len(columns[0]) if columns else 0
+        if table.arity and (table.n_rows == 0 or n_query == 0):
+            return np.zeros(n_query, dtype=bool)
+        query, rows = self._in_range(columns)
+        if rows is None:
+            return self.locate(query, n_query)[1]
+        hit = np.zeros(n_query, dtype=bool)
+        hit[rows] = self.locate(query, len(rows))[1]
+        return hit
+
     def member_mask(self, columns) -> np.ndarray:
         """Boolean mask over the *table's* rows hit by any query row."""
         table = self._table
@@ -158,22 +208,13 @@ class RowLocator:
             # All arity-0 rows are equal; any query row hits them all.
             mask[:] = True
             return mask
+        query, rows = self._in_range(columns)
+        if rows is not None:
+            n_query = len(rows)
         if n_query == 0:
             return mask
-        if self._packed is not None:
-            query, valid = self._pack(columns)
-            query = query[valid]
-            idx = np.searchsorted(self._packed, query, side="left")
-            in_range = idx < len(self._packed)
-            hit = idx[in_range][self._packed[idx[in_range]] == query[in_range]]
-            mask[hit] = True
-            return mask
-        origin, order, segment_ids = self._merged_groups(columns, n_query)
-        nseg = int(segment_ids[-1]) + 1 if len(segment_ids) else 0
-        seg_has_query = np.zeros(nseg, dtype=bool)
-        seg_has_query[segment_ids[origin == 1]] = True
-        full_positions = order[origin == 0]  # original indices into full
-        mask[full_positions] = seg_has_query[segment_ids[origin == 0]]
+        pos, hit, _ = self.locate(query, n_query)
+        mask[pos[hit]] = True
         return mask
 
 
@@ -187,6 +228,9 @@ class StoredRelation:
         self.full = Table.empty(dtypes, provenance)
         self.recent_mask = np.zeros(0, dtype=bool)
         self.changed_mask = np.zeros(0, dtype=bool)
+        #: Host-side index over ``full`` (valid while it indexes that very
+        #: object); not relation data, so :meth:`nbytes` leaves it out.
+        self._index: RowLocator | None = None
 
     # ------------------------------------------------------------------
 
@@ -236,10 +280,13 @@ class StoredRelation:
         self.recent_mask = self.changed_mask.copy()
 
     def locator(self) -> RowLocator:
-        """A fresh membership index over the current ``full`` table.
-        Valid only while ``full`` is not mutated (the over-delete phase
-        guarantees this: nothing is removed until dooming finishes)."""
-        return RowLocator(self.full)
+        """The membership index over the current ``full`` table — the
+        relation's cached keys, built on first use after ``full`` was
+        replaced."""
+        index = self._index
+        if index is None or index._table is not self.full:
+            index = self._index = RowLocator(self.full)
+        return index
 
     def remove_rows(self, mask: np.ndarray) -> Table:
         """Physically remove the masked rows from ``full`` (the DRed
@@ -272,8 +319,9 @@ class StoredRelation:
         whose tags improved become the frontier.
         """
         prov = self.provenance
-        if len(self.changed_mask) != self.full.n_rows:
-            self.changed_mask = np.zeros(self.full.n_rows, dtype=bool)
+        full = self.full
+        if len(self.changed_mask) != full.n_rows:
+            self.changed_mask = np.zeros(full.n_rows, dtype=bool)
         if delta.n_rows == 0:
             self.clear_recent()
             return 0
@@ -283,88 +331,71 @@ class StoredRelation:
             self.clear_recent()
             return 0
 
-        if self.full.n_rows == 0:
-            keep = ~prov.is_absorbing_zero(delta.tags)
-            self.full = delta.take(np.flatnonzero(keep))
-            self.recent_mask = np.ones(self.full.n_rows, dtype=bool)
-            self.changed_mask = np.ones(self.full.n_rows, dtype=bool)
-            return self.full.n_rows
+        index = self._index_covering(delta)
+        pos, hit, delta_keys = index.locate(delta.columns, delta.n_rows)
 
-        # Merge sorted full with sorted delta; an origin column (0 = old,
-        # 1 = new) is the least significant sort key so the existing fact
-        # leads each duplicate group.
-        n_old, n_new = self.full.n_rows, delta.n_rows
-        combined_cols = [
-            np.concatenate([self.full.columns[j], delta.columns[j]])
-            for j in range(self.arity)
-        ]
-        origin = np.concatenate(
-            [np.zeros(n_old, dtype=np.int64), np.ones(n_new, dtype=np.int64)]
-        )
-        combined_tags = np.concatenate([self.full.tags, delta.tags])
-        order = kernels.lex_rank(combined_cols + [origin])
-        combined_cols = [c[order] for c in combined_cols]
-        origin = origin[order]
-        combined_tags = combined_tags[order]
+        # Rows already stored: ⊕-merge their tags where they sit.
+        at = pos[hit]
+        merged = None
+        improved = np.zeros(0, dtype=bool)
+        if len(at):
+            old = full.tags[at]
+            merged, improved = prov.merge_existing(old, delta.tags[hit])
+            if merged is old or merged.tobytes() == old.tobytes():
+                merged = None  # no stored tag changes
+        # Brand-new rows, less those whose tag is the absorbing zero.
+        miss = np.flatnonzero(~hit)
+        new = miss[~prov.is_absorbing_zero(delta.tags[miss])]
+        n, k = full.n_rows, len(new)
 
-        if self.arity == 0:
-            is_first = np.zeros(n_old + n_new, dtype=bool)
-            if n_old + n_new:
-                is_first[0] = True
-        else:
-            is_first = kernels.row_group_boundaries(combined_cols)
-        segment_ids = np.cumsum(is_first) - 1
-        nseg = int(segment_ids[-1]) + 1 if len(segment_ids) else 0
-        firsts = np.flatnonzero(is_first)
+        # Splice the new rows in: columns, tags, ``changed`` and keys.
+        ins = pos[new]
+        packed = index.keys is not None
+        stored = [*full.columns, full.tags, self.changed_mask] + ([index.keys] if packed else [])
+        if k:
+            fresh = [*(c[new] for c in delta.columns), delta.tags[new], np.ones(k, dtype=bool)]
+            fresh += [delta_keys[new]] if packed else []
+            stored = kernels.merge_sorted(stored, fresh, ins)
+            if merged is not None or improved.any():
+                # Stored rows shift by the number of rows spliced in before them.
+                at = at + np.searchsorted(ins, at, side="right")
+        columns = stored[: self.arity]
+        tags, changed, *keys = stored[self.arity :]
+        if merged is not None:
+            if not k:
+                tags = tags.copy()
+            tags[at] = merged
+        grew = at[improved]
+        if len(grew):
+            if not k:
+                changed = changed.copy()
+            changed[grew] = True
+        recent = np.zeros(n + k, dtype=bool)
+        recent[ins + np.arange(k)] = True
+        recent[grew] = True
 
-        has_old = origin[firsts] == 0
-
-        # ``_dedup`` already ⊕-combined the delta, so a segment holds at
-        # most one new row: its tag is the segment's new tag as it stands.
-        new_rows = np.flatnonzero(origin == 1)
-        seg_has_new = np.zeros(nseg, dtype=bool)
-        seg_has_new[segment_ids[new_rows]] = True
-        # Dense renumbering of segments that contain new rows.
-        dense_of_seg = np.cumsum(seg_has_new) - 1
-        combined_new = combined_tags[new_rows]
-
-        out_tags = combined_tags[firsts]
-        improved = ~has_old & seg_has_new  # brand-new facts
-        both = has_old & seg_has_new
-        if both.any():
-            merged, tag_improved = prov.merge_existing(
-                combined_tags[firsts[both]], combined_new[dense_of_seg[both]]
-            )
-            out_tags[both] = merged
-            improved[both] = tag_improved
-        pure_new = ~has_old
-        if pure_new.any():
-            out_tags[pure_new] = combined_new[dense_of_seg[pure_new]]
-
-        # Drop brand-new facts whose tag is the absorbing zero.
-        keep = np.ones(nseg, dtype=bool)
-        zero = prov.is_absorbing_zero(out_tags)
-        keep[pure_new & zero] = False
-
-        # Carry each surviving old row's ``changed`` flag through the
-        # merge (row positions shift as new facts interleave), then fold
-        # this advance's improvements in.
-        changed = np.zeros(nseg, dtype=bool)
-        old_rows = order[firsts[has_old]]  # positions < n_old by sort order
-        changed[has_old] = self.changed_mask[old_rows]
-        changed |= improved
-
-        kept = np.flatnonzero(keep)
-        self.full = Table(
-            [c[firsts[kept]] for c in combined_cols],
-            out_tags[kept],
-            len(kept),
-        )
-        self.recent_mask = improved[kept]
-        self.changed_mask = changed[kept]
-        return int(self.recent_mask.sum())
+        self.full = Table(columns, tags, n + k)
+        self._index = RowLocator(self.full, (index.params, keys[0] if packed else None))
+        self.recent_mask = recent
+        self.changed_mask = changed
+        return int(np.count_nonzero(recent))
 
     # ------------------------------------------------------------------
+
+    def _index_covering(self, delta: Table) -> RowLocator:
+        """The cached index over ``full``, re-packed under wider per-column
+        ranges when ``delta`` holds a value outside them.  Rows that do not
+        pack (floats, >63 bits) never will, so their index stays
+        unpacked."""
+        index = self.locator()
+        if index.params is None and self.full.n_rows:
+            return index
+        within = index.params if self.full.n_rows else None
+        params = kernels.pack_params(delta.columns, within)
+        if params != index.params:
+            keys = None if params is None else kernels.pack_keys(self.full.columns, params)
+            index = self._index = RowLocator(self.full, (params, keys))
+        return index
 
     def _dedup(self, delta: Table) -> Table:
         """Sort + unique⟨⊕⟩ a delta table."""

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.gpu import kernels
@@ -52,12 +54,67 @@ class TestSortAndUnique:
             assert segment_ids[-1] == len(got) - 1
             assert (np.diff(segment_ids) >= 0).all()
 
+    @given(
+        st.lists(st.tuples(st.integers(-(2**40), 2**40), ints), min_size=1, max_size=30),
+        st.lists(st.tuples(ints, ints), max_size=5),
+    )
+    def test_pack_params_cover_and_keys_keep_row_order(self, rows, more):
+        cols = [np.array([r[j] for r in rows], dtype=np.int64) for j in range(2)]
+        params = kernels.pack_params(cols)
+        # Parameters fitted to some rows are a fixed point for those rows.
+        assert kernels.pack_params(cols, params) == params
+        extra = [np.array([r[j] for r in more], dtype=np.int64) for j in range(2)]
+        wider = kernels.pack_params(extra, params)
+        both = [np.concatenate([c, e]) for c, e in zip(cols, extra)]
+        keys = kernels.pack_keys(both, wider)
+        expected = np.lexsort(tuple(reversed(both)))
+        assert np.array_equal(np.argsort(keys, kind="stable"), expected)
+        assert np.array_equal(kernels.pack_rows(cols), kernels.pack_keys(cols, params))
+
+    def test_pack_params_refuse_floats_and_wide_rows(self):
+        assert kernels.pack_params([np.array([1.0])]) is None
+        assert kernels.pack_params([np.array([0, 2**62]), np.array([0, 4])]) is None
+        assert kernels.pack_params([]) is None
+
     def test_merge_sorted(self):
-        left = [np.array([1, 3])]
-        right = [np.array([2, 4])]
-        merged, order = kernels.merge_sorted(left, right)
+        left = [np.array([1, 3]), np.array([10, 30])]
+        right = [np.array([2, 4]), np.array([20, 40])]
+        merged = kernels.merge_sorted(left, right, np.array([1, 2]))
         assert merged[0].tolist() == [1, 2, 3, 4]
-        assert order.tolist() == [0, 2, 1, 3]
+        assert merged[1].tolist() == [10, 20, 30, 40]
+
+    @given(
+        st.lists(st.tuples(ints, ints), max_size=12),
+        st.lists(st.tuples(ints, ints), max_size=12),
+    )
+    @example([], [])
+    @example([(0, 0)], [])
+    @example([], [(0, 0)])
+    @example([(1, 2)], [(1, 2)])
+    @example([(1, 2), (3, 4)], [(1, 2), (1, 2), (5, 0)])
+    def test_merge_sorted_matches_concat_and_rank(self, left_rows, right_rows):
+        """The splice equals the concat + ``lex_rank`` merge it replaced
+        (equal rows across sides: left first), tags carried alongside."""
+
+        left_rows, right_rows = sorted(left_rows), sorted(right_rows)
+
+        def columns(rows, tag_sign):
+            return [
+                np.array([r[0] for r in rows], dtype=np.int64),
+                np.array([r[1] for r in rows], dtype=np.int64),
+                tag_sign * np.arange(len(rows), dtype=np.float64),  # a carried tag
+            ]
+
+        left, right = columns(left_rows, 1.0), columns(right_rows, -1.0)
+        concat = [np.concatenate([l, r]) for l, r in zip(left, right)]
+        order = kernels.lex_rank(concat[:2])
+        expected = [c[order] for c in concat]
+        positions = np.array(
+            [bisect.bisect_right(left_rows, row) for row in right_rows], dtype=np.int64
+        )
+        merged = kernels.merge_sorted(left, right, positions)
+        assert [m.tolist() for m in merged] == [e.tolist() for e in expected]
+        assert all(m.dtype == e.dtype for m, e in zip(merged, expected))
 
 
 class TestSegmentReductions:
