@@ -12,7 +12,10 @@ with the same ``z``), so slots hold one *representative* per distinct key
 and duplicates live in a CSR side array (row ids grouped by key).  This is
 the standard GPU hash-join layout: the probe resolves a key to its group,
 then emits the group's row range — insertion and probing cost is bounded
-by open-addressing chain length, never by duplicate multiplicity.
+by open-addressing chain length, never by duplicate multiplicity.  The
+groups come from :func:`~repro.gpu.kernels.group_rows` — one value sort
+of the packed keys — and key equality is row equality: ``-0.0`` matches
+``0.0`` and a NaN matches a NaN, as in deduplication.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernels import exclusive_scan, hash_columns, lex_rank, repeat_ranges, row_group_boundaries
+from .kernels import exclusive_scan, group_rows, hash_columns, repeat_ranges
 
 #: Hash-table over-allocation factor (the parameter "O" of Fig. 6).
 DEFAULT_LOAD_FACTOR = 2.0
@@ -43,18 +46,14 @@ class HashIndex:
         n = len(self.columns[0]) if self.columns else 0
         self.n_rows = n
 
-        key_cols = self.columns[:width]
         # Group rows by key: sorted row-id array + CSR offsets.
-        order = lex_rank(key_cols) if width else np.arange(n, dtype=np.int64)
-        self.row_ids = order
-        sorted_keys = [c[order] for c in key_cols]
-        if n and width:
-            firsts_mask = row_group_boundaries(sorted_keys)
-            firsts = np.flatnonzero(firsts_mask)
-        elif n:
-            firsts = np.zeros(1, dtype=np.int64)  # width 0: one group
+        if width:
+            order, is_first = group_rows(self.columns[:width])
+            firsts = np.flatnonzero(is_first)
         else:
-            firsts = np.zeros(0, dtype=np.int64)
+            order = np.arange(n, dtype=np.int64)
+            firsts = np.zeros(min(n, 1), dtype=np.int64)  # width 0: one group
+        self.row_ids = order
         self.group_offsets = firsts
         boundaries = np.append(firsts, n)
         self.group_counts = np.diff(boundaries)
@@ -129,7 +128,11 @@ class HashIndex:
                 rep_rows = self.representatives[groups]
                 equal = np.ones(len(live), dtype=bool)
                 for k in range(self.width):
-                    equal &= self.columns[k][rep_rows] == probe_cols[k][live_pending]
+                    built, probed = self.columns[k][rep_rows], probe_cols[k][live_pending]
+                    same = built == probed
+                    if built.dtype.kind == "f" or probed.dtype.kind == "f":
+                        same |= np.isnan(built) & np.isnan(probed)  # NaN is one value
+                    equal &= same
                 result[live_pending[equal]] = groups[equal]
                 alive[live[equal]] = False  # resolved: stop probing
             pending = pending[alive]

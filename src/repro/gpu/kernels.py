@@ -4,6 +4,14 @@ Each function here corresponds to a GPU kernel in the paper's runtime
 (Table 1).  All of them operate on whole columns with no per-row Python
 control flow, which is the invariant APM is designed to guarantee: any
 program composed of these primitives admits massively parallel execution.
+
+Sorting follows the paper's radix sort over packed keys: integer rows
+pack into one ``uint64`` key per row (:func:`pack_keys`), and the stable
+row order comes from a single *value* sort of ``(key ‖ row index)``
+composites, never from an indirect stable argsort; :func:`group_rows`
+then reads ``unique``'s group boundaries off the sorted keys.  When key
+and index need more than 64 bits the keys take a stable argsort, and
+float columns or rows wider than 63 bits take ``np.lexsort``.
 """
 
 from __future__ import annotations
@@ -11,6 +19,8 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
+
+_U64_MASK = (1 << 64) - 1
 
 
 def exclusive_scan(values: np.ndarray) -> np.ndarray:
@@ -65,11 +75,18 @@ def pack_keys(
 ) -> np.ndarray:
     """Pack rows into uint64 keys under fixed ``(lo, bits)`` per column
     (see :func:`pack_params`); key order is lexicographic row order.
-    Every value must lie inside its column's range."""
+    Every value must lie inside its column's range.  The result is a
+    fresh array the caller may write into."""
     packed = None
     for col, (lo, bits) in zip(columns, params):
-        shifted = (np.asarray(col).astype(np.int64, copy=False) - lo).astype(np.uint64)
-        packed = shifted if packed is None else (packed << np.uint64(bits)) | shifted
+        # ``value - lo`` in modular uint64 arithmetic, built in place.
+        shifted = np.asarray(col).astype(np.uint64)
+        shifted -= np.uint64(lo & _U64_MASK)
+        if packed is None:
+            packed = shifted
+        else:
+            packed <<= np.uint64(bits)
+            packed |= shifted
     return packed
 
 
@@ -77,7 +94,7 @@ def pack_rows(columns: Sequence[np.ndarray]) -> np.ndarray | None:
     """Pack integer rows into single uint64 sort keys when ranges permit.
 
     GPU sorts run fastest on packed radix keys; the same trick dominates
-    here because a single-key argsort is several times cheaper than a
+    here because a single-key sort is several times cheaper than a
     general lexsort.  Returns None when any column is floating point or
     the combined key range overflows 64 bits.
     """
@@ -85,28 +102,83 @@ def pack_rows(columns: Sequence[np.ndarray]) -> np.ndarray | None:
     return None if params is None else pack_keys(columns, params)
 
 
-def lex_rank(columns: Sequence[np.ndarray]) -> np.ndarray:
-    """Permutation that sorts rows of a columnar table lexicographically.
+def _sort_packed(columns: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, int] | None:
+    """Stable row order of a nonempty table by a value sort of packed keys.
 
-    Uses the packed-radix-key fast path when the rows fit in 64 bits;
-    falls back to ``np.lexsort`` (whose last key is primary, hence the
-    reversal) otherwise.
+    Returns ``(order, sorted, shift)`` where ``sorted >> shift`` are the
+    rows' packed keys in ``order``, or None when the rows do not pack
+    (see :func:`pack_params`).  When the key bits plus the bits of a row
+    index fit in 64, each row becomes the composite ``key << shift | i``:
+    composites are unique, so sorting them by value yields exactly the
+    stable order, and the low ``shift`` bits of each are its row.
+    Otherwise the keys take a stable argsort and ``shift`` is 0.
     """
-    if not columns:
-        return np.zeros(0, dtype=np.int64)
+    params = pack_params(columns)
+    if params is None:
+        return None
     n = len(columns[0])
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    packed = pack_rows(columns)
-    if packed is not None:
-        return np.argsort(packed, kind="stable")
+    keys = pack_keys(columns, params)
+    shift = max(n - 1, 1).bit_length()
+    if sum(bits for _, bits in params) + shift > 64:
+        order = np.argsort(keys, kind="stable")
+        return order, keys[order], 0
+    keys <<= np.uint64(shift)
+    keys |= np.arange(n, dtype=np.uint64)
+    keys.sort()
+    order = (keys & np.uint64((1 << shift) - 1)).view(np.int64)
+    return order, keys, shift
+
+
+def _lexsort(columns: Sequence[np.ndarray]) -> np.ndarray:
+    """``np.lexsort`` in row order (its last key is primary)."""
     return np.lexsort(tuple(reversed([np.asarray(c) for c in columns])))
+
+
+def lex_rank(columns: Sequence[np.ndarray]) -> np.ndarray:
+    """Stable permutation that sorts rows of a columnar table
+    lexicographically.
+
+    Rows that pack into 64-bit keys take one value sort of ``(key ‖ row
+    index)`` composites (see :func:`_sort_packed`), falling back to a
+    stable argsort of the keys when key and index need more than 64
+    bits; float columns and wider rows use ``np.lexsort``.
+    """
+    if not columns or len(columns[0]) == 0:
+        return np.zeros(0, dtype=np.int64)
+    packed = _sort_packed(columns)
+    return _lexsort(columns) if packed is None else packed[0]
+
+
+def group_rows(columns: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, is_first)``: the stable lexicographic order of a table's
+    rows (as :func:`lex_rank`) and, over the rows in that order, the mask
+    marking the first row of each run of equal rows (as
+    :func:`row_group_boundaries`).
+
+    Packable rows read the groups off the sorted packed keys with one
+    comparison, never gathering a column; float columns and rows wider
+    than 63 bits sort with ``np.lexsort`` and compare column by column.
+    """
+    if not columns or len(columns[0]) == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool)
+    packed = _sort_packed(columns)
+    if packed is None:
+        order = _lexsort(columns)
+        return order, row_group_boundaries([np.asarray(c)[order] for c in columns])
+    order, keys, shift = packed
+    if shift:
+        keys >>= np.uint64(shift)
+    is_first = np.empty(len(keys), dtype=bool)
+    is_first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=is_first[1:])
+    return order, is_first
 
 
 def sort_rows(columns: Sequence[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
     """Sort a columnar table; returns (sorted columns, permutation applied)."""
     order = lex_rank(columns)
     return [np.asarray(c)[order] for c in columns], order
+
 
 def row_group_boundaries(columns: Sequence[np.ndarray]) -> np.ndarray:
     """Boolean mask marking the first row of each run of equal sorted rows.
@@ -245,7 +317,9 @@ def hash_columns(columns: Sequence[np.ndarray], width: int) -> np.ndarray:
 
     Uses a splitmix64-style mix per column, combined multiplicatively —
     cheap, stateless, and vectorized, like the device hash in the paper's
-    runtime.
+    runtime.  Float values hash by their float64 bits after ``-0.0``
+    becomes ``0.0`` and every NaN one NaN, so values that group together
+    (see :func:`row_group_boundaries`) hash alike.
     """
     if width == 0:
         n = len(columns[0]) if columns else 0
@@ -255,7 +329,9 @@ def hash_columns(columns: Sequence[np.ndarray], width: int) -> np.ndarray:
         for k in range(width):
             col = np.asarray(columns[k])
             if col.dtype.kind == "f":
-                col = col.view(np.uint64) if col.dtype.itemsize == 8 else col.astype(np.uint64)
+                col = col + np.float64(0.0)  # a float64 copy; -0.0 + 0.0 is 0.0
+                col[np.isnan(col)] = np.nan
+                col = col.view(np.uint64)
             else:
                 col = col.astype(np.uint64)
             z = col + np.uint64(0x9E3779B97F4A7C15)

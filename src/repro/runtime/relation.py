@@ -59,20 +59,20 @@ from ..provenance.base import Provenance
 def dedup_table(delta: Table, provenance: Provenance) -> Table:
     """Sort + unique⟨⊕⟩ a delta table (the APM ``sort``/``unique⟨⊕⟩``
     sequence) — the step :meth:`StoredRelation.advance` runs on every
-    delta before merging it."""
+    delta before merging it.  The groups come from
+    :func:`~repro.gpu.kernels.group_rows`, so columns are gathered only
+    at each group's first row, never through the whole permutation."""
     if delta.arity == 0:
         if delta.n_rows == 0:
             return delta
         seg = np.zeros(delta.n_rows, dtype=np.int64)
         tags = provenance.oplus_reduce(delta.tags, seg, 1)
         return Table([], tags, 1)
-    order = kernels.lex_rank(delta.columns)
-    sorted_cols = [c[order] for c in delta.columns]
-    sorted_tags = delta.tags[order]
-    unique_cols, segment_ids, _ = kernels.unique_rows(sorted_cols)
-    nseg = len(unique_cols[0]) if unique_cols else 0
-    tags = provenance.oplus_reduce(sorted_tags, segment_ids, nseg)
-    return Table(unique_cols, tags, nseg)
+    order, is_first = kernels.group_rows(delta.columns)
+    segment_ids = np.cumsum(is_first) - 1
+    firsts = order[is_first]
+    tags = provenance.oplus_reduce(delta.tags[order], segment_ids, len(firsts))
+    return Table([c[firsts] for c in delta.columns], tags, len(firsts))
 
 
 class RowLocator:

@@ -1,13 +1,19 @@
-"""Property tests for the open-addressing hash index against brute force."""
+"""Property tests for the open-addressing hash index against brute force,
+and float join keys matching by row equality (``-0.0`` is ``0.0``, NaN is
+NaN)."""
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import LobsterEngine
+from repro.baselines.scallop import ScallopInterpreter
 from repro.gpu.hash_table import HashIndex
 
 keys = st.integers(min_value=0, max_value=30)
@@ -78,3 +84,57 @@ def test_empty_probe():
 def test_nbytes_positive():
     index = HashIndex([np.array([1, 2, 3])], 1)
     assert index.nbytes > 0
+
+
+# -- float keys join by row equality -----------------------------------------
+
+FLOAT_JOIN = (
+    "type a(f64)\n"
+    "type b(f64)\n"
+    "rel r(x) :- a(x), b(x).\n"
+    "rel s(x) :- a(x), ~b(x).\n"
+    "rel c(x) :- a(x).\n"
+    "rel c(x) :- b(x).\n"
+)
+
+
+def run_float_join(engine_cls, a, b):
+    engine = engine_cls(FLOAT_JOIN, provenance="unit")
+    database = engine.create_database()
+    database.add_facts("a", [(a,)])
+    database.add_facts("b", [(b,)])
+    engine.run(database)
+    return database
+
+
+def test_float_probe_matches_signed_zero_and_nan():
+    """``-0.0`` finds ``0.0`` and a NaN finds a NaN of either sign."""
+    index = HashIndex([np.array([0.0, math.nan, 1.5, -0.0, -math.nan])], 1)
+    probe = np.array([-0.0, 0.0, -math.nan, math.nan, 1.5, 2.0])
+    assert index.count([probe]).tolist() == [2, 2, 2, 2, 1, 0]
+    probe_ids, build_ids, _ = index.probe([probe])
+    assert sorted(zip(probe_ids.tolist(), build_ids.tolist()))[:4] == [
+        (0, 0), (0, 3), (1, 0), (1, 3),
+    ]
+
+
+@pytest.mark.parametrize("a, b", [(0.0, -0.0), (-0.0, 0.0)])
+def test_signed_zero_join_and_negation_agree_with_scallop(a, b):
+    lobster = run_float_join(LobsterEngine, a, b)
+    scallop = run_float_join(ScallopInterpreter, a, b)
+    for name in ("r", "s", "c"):
+        assert set(lobster.result(name).rows()) == set(scallop.rows(name)), name
+    assert len(lobster.result("r").rows()) == 1 and not lobster.result("s").rows()
+
+
+@pytest.mark.parametrize("a, b", [(math.nan, math.nan), (math.nan, -math.nan)])
+def test_nan_join_and_negation_follow_nan_deduplication(a, b):
+    """The engine's own rule: ``c`` stores the two NaN facts as one row, so
+    the join finds ``a``'s NaN in ``b`` and the negation does not.  Scallop
+    is no reference here: it keys rows by Python equality, under which no
+    two NaN objects are equal."""
+    database = run_float_join(LobsterEngine, a, b)
+    assert len(database.result("c").rows()) == 1
+    (joined,) = database.result("r").rows()
+    assert math.isnan(joined[0])
+    assert database.result("s").rows() == []
