@@ -23,9 +23,7 @@ from repro import LobsterEngine, OptimizationConfig
 from repro.baselines import ScallopInterpreter
 from repro.workloads import pacman, pathfinder
 
-from _harness import print_table, record, report, timed
-
-SUITE = "fig10_scalability"
+from _harness import print_table, record, timed
 
 CONFIGS = {
     "None": OptimizationConfig(buffer_reuse=False, static_indices=False, stratum_scheduling=False),
@@ -70,20 +68,9 @@ def sweep(task_name, program, capacity, make_populate, grids):
     for grid in grids:
         populate = make_populate(grid)
         scallop_s = scallop_symbolic_seconds(program, populate)
-        report(
-            SUITE, f"{task}/grid{grid}/scallop", samples=[scallop_s],
-            grid=grid, engine="scallop",
-        )
         row = [grid, f"{scallop_s:.3f}s"]
         for name, config in CONFIGS.items():
             lobster_s = lobster_symbolic_seconds(program, capacity, populate, config)
-            # total_seconds comes off the simulated device cost model, so
-            # record it on the deterministic clock.
-            report(
-                SUITE, f"{task}/grid{grid}/lobster-{name}",
-                samples=[lobster_s], unit="modeled_s",
-                grid=grid, config=name,
-            )
             ratio = scallop_s / lobster_s
             speedups[name].append(ratio)
             row.append(f"{ratio:.2f}x")

@@ -14,9 +14,7 @@ from repro import LobsterEngine
 from repro.baselines import ProbLogEngine, ScallopInterpreter
 from repro.workloads import static_analysis
 
-from _harness import record, print_table, report, speedup, timed
-
-SUITE = "fig11_psa"
+from _harness import record, print_table, speedup, timed
 
 SUBJECTS = list(static_analysis.SUBJECTS)
 
@@ -45,8 +43,6 @@ def results():
 
         run = lambda state: state[0].run(state[1])
         rows[subject] = (timed(run, setup=setup_scallop), timed(run, setup=setup_lobster))
-        report(SUITE, f"PSA/{subject}/scallop", rows[subject][0], engine="scallop")
-        report(SUITE, f"PSA/{subject}/lobster", rows[subject][1], engine="lobster")
     return rows
 
 

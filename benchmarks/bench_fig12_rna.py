@@ -15,9 +15,7 @@ from repro import LobsterEngine
 from repro.baselines import ScallopInterpreter
 from repro.workloads import rna
 
-from _harness import record, print_table, report, speedup, timed
-
-SUITE = "fig12_rna"
+from _harness import record, print_table, speedup, timed
 
 #: Scaled-down ArchiveII sweep (the CPU baseline is the time sink).
 LENGTHS = [28, 40, 52, 64]
@@ -50,8 +48,6 @@ def results():
         run = lambda state: state[0].run(state[1])
         scallop_m = timed(run, setup=setup_scallop)
         lobster_m = timed(run, setup=setup_lobster)
-        report(SUITE, f"RNA/len{length}/scallop", scallop_m, length=length, engine="scallop")
-        report(SUITE, f"RNA/len{length}/lobster", lobster_m, length=length, engine="lobster")
         rows.append((length, scallop_m, lobster_m))
     return rows
 

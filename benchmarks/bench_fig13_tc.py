@@ -15,11 +15,8 @@ from repro.baselines import FVLogEngine, SouffleEngine
 from repro.workloads.analytics import TRANSITIVE_CLOSURE
 from repro.workloads.graphs import load_graph
 
-from repro.perf.stats import geomean_ratio
-
-from _harness import record, Measurement, print_table, report, speedup, timed
-
-SUITE = "fig13_tc"
+from _harness import geomean as geomean_ratio
+from _harness import record, Measurement, print_table, speedup, timed
 
 #: Subset of Fig. 13's graphs, ordered as in the paper.
 GRAPHS = [
@@ -82,14 +79,6 @@ def results():
             run_lobster(edges),
             run_fvlog(edges),
         )
-        n_edges, souffle, lobster, fvlog = rows[name]
-        for engine, measurement in (
-            ("souffle", souffle), ("lobster", lobster), ("fvlog", fvlog),
-        ):
-            report(
-                SUITE, f"TC/{name}/{engine}", measurement,
-                edges=n_edges, engine=engine,
-            )
     return rows
 
 
@@ -125,15 +114,15 @@ def test_fig13_speedup_over_souffle(results, benchmark):
 def test_fig13_lobster_competitive_with_fvlog(results, benchmark):
     def check():
         """Lobster's IR optimizations keep it at least at FVLog's level on
-        most graphs (geomean over finished runs, with the trial noise
-        propagated — a typed Ratio, so unmeasurable cells are explicit)."""
+        most graphs (geomean over finished runs — a typed Ratio, so
+        unmeasurable cells are explicit)."""
         ratios = [
             speedup(fvlog, lobster)
             for (_, _, lobster, fvlog) in results.values()
         ]
         geomean = geomean_ratio(ratios)
         assert geomean.ok, "no graph finished on both engines"
-        print(f"Lobster vs FVLog geomean advantage on TC: {geomean.label()}")
+        print(f"Lobster vs FVLog geomean advantage on TC: {geomean}")
         assert geomean.value >= 0.9  # at worst within 10% of the no-IR engine
 
 

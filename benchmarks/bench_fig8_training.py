@@ -18,10 +18,8 @@ from repro import LobsterEngine
 from repro.baselines import ScallopInterpreter
 from repro.workloads import clutrr, hwf, pacman, pathfinder
 
-from _harness import record, print_table, report, speedup, timed
+from _harness import record, print_table, speedup, timed
 from _train import lobster_train_step, scallop_train_step
-
-SUITE = "fig8_training"
 
 STEPS = 3
 
@@ -116,9 +114,6 @@ def results():
             train_task("scallop", program, capacity, samples, None, relation),
             train_task("lobster", program, capacity, samples, None, relation),
         )
-        scallop, lobster = out[task]
-        report(SUITE, f"{task}/scallop", scallop, engine="scallop", steps=STEPS)
-        report(SUITE, f"{task}/lobster", lobster, engine="lobster", steps=STEPS)
     return out
 
 

@@ -13,9 +13,7 @@ from repro import LobsterEngine, ProgramCache
 from repro.baselines import ScallopInterpreter
 from repro.workloads import clutrr, hwf, pacman, pathfinder
 
-from _harness import record, print_table, report, speedup, timed
-
-SUITE = "fig9_inference"
+from _harness import record, print_table, speedup, timed
 
 
 def run_pathfinder(engine_kind: str):
@@ -125,9 +123,6 @@ def results():
     rows = {}
     for name, runner in TASKS.items():
         rows[name] = (runner("scallop"), runner("lobster"))
-        scallop, lobster = rows[name]
-        report(SUITE, f"{name}/scallop", scallop, engine="scallop")
-        report(SUITE, f"{name}/lobster", lobster, engine="lobster")
     return rows
 
 

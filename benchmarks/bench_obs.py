@@ -27,9 +27,7 @@ from repro.obs import NULL_TRACER, dumps_trace_events, validate_trace_events
 from repro.obs import to_trace_events
 from repro.workloads.analytics import TRANSITIVE_CLOSURE
 
-from _harness import print_table, record, report, timed, tiny_scale
-
-SUITE = "obs"
+from _harness import print_table, record, timed, tiny_scale
 
 TINY = tiny_scale()
 N_REQUESTS = 20 if TINY else 120
@@ -83,8 +81,6 @@ def measurements():
     traced = serve_once(traced_tracer)
     wall_off = wall_measurement(lambda: None)
     wall_on = wall_measurement(lambda: Tracer(seed=SEED))
-    report(SUITE, "serving-drain/untraced", wall_off, requests=N_REQUESTS)
-    report(SUITE, "serving-drain/traced", wall_on, requests=N_REQUESTS)
     return untraced, nulled, traced, traced_tracer, wall_off, wall_on
 
 

@@ -40,9 +40,7 @@ from repro import (
 )
 from repro.stream import RelationStream, SlidingWindow
 
-from _harness import Measurement, print_table, record, report, timed, tiny_scale
-
-SUITE = "recovery"
+from _harness import Measurement, print_table, record, timed, tiny_scale
 
 TINY = tiny_scale()
 
@@ -136,7 +134,6 @@ def test_recovery_time_scales_with_tail_not_stream(benchmark):
                     manager.apply("tc", feed.advance())
                 measurement, info = time_recover(root)
                 assert info.replayed_deltas == tail
-                report(SUITE, f"recover/tail{tail}", measurement, tail=tail, tiny=TINY)
                 times[tail] = measurement.seconds
                 rows.append([f"{tail}", measurement.label])
             finally:
@@ -167,14 +164,6 @@ def test_checkpoint_interval_tradeoff(benchmark):
             try:
                 applies = durable_run(root, SWEEP_TICKS, interval)
                 recovery, info = time_recover(root)
-                report(
-                    SUITE, f"apply/interval{interval}", applies,
-                    interval=interval, tiny=TINY,
-                )
-                report(
-                    SUITE, f"recover/interval{interval}", recovery,
-                    interval=interval, tiny=TINY,
-                )
                 overheads[interval] = applies.seconds
                 recoveries[interval] = recovery.seconds
                 rows.append(

@@ -32,9 +32,7 @@ import pytest
 from repro import DevicePool, LoadGenerator, LobsterEngine, Scheduler, SLOClass
 from repro.workloads.analytics import TRANSITIVE_CLOSURE
 
-from _harness import print_table, record, report, tiny_scale
-
-SUITE = "serving"
+from _harness import print_table, record, tiny_scale
 
 TINY = tiny_scale()
 N_NODES, N_EDGES = (10, 18) if TINY else (20, 45)
@@ -118,19 +116,6 @@ def sweep():
         for n_devices in DEVICE_COUNTS
         for multiple in LOAD_MULTIPLES
     }
-    for (n_devices, multiple), (point_report, _) in points.items():
-        latencies = [
-            o.latency_s for o in point_report.outcomes if o.status == "completed"
-        ]
-        # The full modeled latency distribution at this operating point
-        # (deterministic serve clock, so gateable across machines).
-        report(
-            SUITE, f"latency/{n_devices}dev/{multiple:.2f}x",
-            samples=latencies, unit="modeled_s",
-            devices=n_devices, offered=multiple,
-            completed=point_report.completed,
-            shed_rate=point_report.shed_rate, tiny=TINY,
-        )
     return engine, service_s, points
 
 

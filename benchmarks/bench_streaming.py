@@ -54,9 +54,7 @@ from repro.workloads.analytics import TRANSITIVE_CLOSURE
 from repro.workloads.static_analysis import PROGRAM as PSA_PROGRAM
 from repro.workloads.static_analysis import psa_instance
 
-from _harness import print_table, record, report, tiny_scale
-
-SUITE = "streaming"
+from _harness import print_table, record, tiny_scale
 
 TINY = tiny_scale()
 
@@ -158,8 +156,6 @@ def reach_results():
     cold_engine, cold_db = build_cold()
     cold_engine.run(cold_db)
     assert set(view.result("reach")) == set(cold_db.result("reach").rows())
-    report(SUITE, "reach/maintain-tick", samples=maintain, unit="modeled_s", tiny=TINY)
-    report(SUITE, "reach/cold-recompute", samples=[cold], unit="modeled_s", tiny=TINY)
     return maintain, cold
 
 
@@ -197,8 +193,6 @@ def tc_results():
     cold_engine, cold_db = build_cold()
     cold_engine.run(cold_db)
     assert set(view.result("path")) == set(cold_db.result("path").rows())
-    report(SUITE, "TC/maintain-tick", samples=maintain, unit="modeled_s", tiny=TINY)
-    report(SUITE, "TC/cold-recompute", samples=[cold], unit="modeled_s", tiny=TINY)
     return maintain, cold
 
 
@@ -257,8 +251,6 @@ def psa_results():
         assert set(warm) == set(reference), relation
         for row, prob in warm.items():
             assert prob == pytest.approx(reference[row], abs=1e-9)
-    report(SUITE, "PSA/maintain-tick", samples=maintain, unit="modeled_s", tiny=TINY)
-    report(SUITE, "PSA/cold-recompute", samples=[cold], unit="modeled_s", tiny=TINY)
     return maintain, cold
 
 

@@ -6,8 +6,7 @@ paper's shape: Lobster is faster wherever both finish, and FVLog — whose
 lack of IR optimizations inflates intermediate footprints — runs out of
 memory on more datasets.  (The paper's single reversal, vsp_finan, where
 *Lobster* OOMs and FVLog finishes, stems from tag-register overhead our
-byte-sized unit tags don't reproduce; EXPERIMENTS.md discusses the
-divergence.)
+byte-sized unit tags don't reproduce.)
 """
 
 from __future__ import annotations
@@ -19,9 +18,7 @@ from repro.baselines import FVLogEngine
 from repro.workloads.analytics import SAME_GENERATION
 from repro.workloads.graphs import load_graph
 
-from _harness import record, Measurement, print_table, report, timed
-
-SUITE = "table3_samegen"
+from _harness import record, Measurement, print_table, timed
 
 DATASETS = [
     "fe-sphere",
@@ -68,9 +65,6 @@ def results():
             run_engine(LobsterEngine, edges),
             run_engine(FVLogEngine, edges),
         )
-        lobster, fvlog = rows[name]
-        report(SUITE, f"samegen/{name}/lobster", lobster, engine="lobster")
-        report(SUITE, f"samegen/{name}/fvlog", fvlog, engine="fvlog")
     return rows
 
 
@@ -93,7 +87,7 @@ def test_table3_same_generation(results, benchmark):
         # Shape 1: wherever both finish, Lobster is never meaningfully
         # slower.  (The paper reports >=2x per dataset; our two engines
         # share one kernel substrate, so the wall gap compresses to
-        # near-parity — see EXPERIMENTS.md.)  Best-of-trials, not the
+        # near-parity.)  Best-of-trials, not the
         # mean: a single descheduled trial on a contended host would
         # otherwise fail a shape assertion about the engines.
         assert finished_both, "no dataset finished on both engines"

@@ -13,11 +13,8 @@ from repro import LobsterEngine
 from repro.baselines import FVLogEngine
 from repro.workloads.analytics import CSPA, cspa_instance
 
-from repro.perf.stats import geomean_ratio
-
-from _harness import record, print_table, report, speedup, timed
-
-SUITE = "table4_cspa"
+from _harness import geomean as geomean_ratio
+from _harness import record, print_table, speedup, timed
 
 SUBJECTS = ["httpd", "linux", "postgres"]
 
@@ -46,9 +43,6 @@ def results():
 
         run = lambda state: state[0].run(state[1])
         rows[subject] = (timed(run, setup=setup_lobster), timed(run, setup=setup_fvlog))
-        lobster_m, fvlog_m = rows[subject]
-        report(SUITE, f"CSPA/{subject}/lobster", lobster_m, engine="lobster")
-        report(SUITE, f"CSPA/{subject}/fvlog", fvlog_m, engine="fvlog")
     return rows
 
 
@@ -64,15 +58,15 @@ def test_table4_cspa(results, benchmark):
             table,
         )
         # Shape: approximately matched with a Lobster geomean edge
-        # (typed geomean with propagated trial noise; an unmeasurable
-        # subject fails loudly instead of being skipped).
+        # (typed geomean; an unmeasurable subject fails loudly instead
+        # of being skipped).
         ratios = [
             speedup(fvlog, lobster) for lobster, fvlog in results.values()
         ]
         assert all(r.ok for r in ratios), [r.status for r in ratios]
         geomean = geomean_ratio(ratios)
         print(
-            f"CSPA geomean Lobster advantage: {geomean.label()} (paper: 1.27x)"
+            f"CSPA geomean Lobster advantage: {geomean} (paper: 1.27x)"
         )
         assert geomean.value > 0.9
 

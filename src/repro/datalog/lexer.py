@@ -93,6 +93,12 @@ def tokenize(source: str) -> list[Token]:
                 i += 1
                 if i < n and source[i] in "+-":
                     i += 1
+                if i == n or not source[i].isdigit():
+                    raise ParseError(
+                        f"float literal {source[start:i]!r} has no exponent digits",
+                        line,
+                        col,
+                    )
                 while i < n and source[i].isdigit():
                     i += 1
             kind = "float" if is_float else "int"

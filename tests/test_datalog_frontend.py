@@ -27,6 +27,23 @@ class TestLexer:
     def test_numbers(self):
         tokens = tokenize("1 2.5 1e3 0.25")
         assert [t.kind for t in tokens[:-1]] == ["int", "float", "float", "float"]
+        tokens = tokenize("1e-3 1E3 2.5e+1")
+        assert [(t.kind, t.value) for t in tokens[:-1]] == [
+            ("float", "1e-3"), ("float", "1E3"), ("float", "2.5e+1"),
+        ]
+
+    @pytest.mark.parametrize(
+        "source, column",
+        [("rel p(4e).", 7), ("rel p(x) :- q(x), x < 1e+.", 23)],
+        ids=["bare", "signed"],
+    )
+    def test_float_without_exponent_digits_is_a_parse_error(self, source, column):
+        """It used to lex, then escape the parser's float() as ValueError."""
+        from repro import LobsterEngine
+
+        with pytest.raises(ParseError, match="exponent") as raised:
+            LobsterEngine(source)
+        assert (raised.value.line, raised.value.column) == (1, column)
 
     def test_string_literal(self):
         tokens = tokenize('rel name = {("alice")}')
