@@ -40,7 +40,6 @@ Public API highlights:
 """
 
 from .errors import (
-    BenchRecordError,
     CheckpointMismatchError,
     CompileError,
     CorruptLogError,
@@ -102,7 +101,6 @@ __version__ = "0.11.0"
 
 __all__ = [
     "AdmissionController",
-    "BenchRecordError",
     "CheckpointMismatchError",
     "CompileError",
     "CompiledProgram",

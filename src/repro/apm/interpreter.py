@@ -14,13 +14,15 @@ tags improved — is empty.
 
 The interpreter also drives the paper's runtime optimizations:
 
-* buffer accounting and reuse (§4.1) — fresh allocations after the first
-  iteration at a known allocation site are counted as reused and skip the
-  simulated allocation latency;
+* buffer accounting and reuse (§4.1) — on a device with
+  ``reuse_buffers`` on, allocations after the first at a known allocation
+  site are counted as reused and skip the simulated allocation latency;
+  with it off, every allocation pays that latency and an iteration's
+  temporaries stay charged against the device's capacity;
 * static hash-index reuse (§4.2) — ``Build`` instructions with a
   ``static_key`` consult the device's static-register cache;
 * stratum offload scheduling (§5.3) — host<->device transfers are charged
-  according to the plan from :mod:`repro.apm.schedule`.
+  at the edges of the device-resident window from :mod:`repro.apm.schedule`.
 """
 
 from __future__ import annotations
@@ -60,15 +62,13 @@ class ApmInterpreter:
         self,
         device: VirtualDevice,
         enable_static_reuse: bool = True,
-        enable_buffer_reuse: bool = True,
-        enable_stratum_scheduling: bool = True,
         max_iterations: int = DEFAULT_MAX_ITERATIONS,
         retain_allocation_sites: bool = False,
     ):
         self.device = device
         self.enable_static_reuse = enable_static_reuse
-        self.enable_buffer_reuse = enable_buffer_reuse
-        self.enable_stratum_scheduling = enable_stratum_scheduling
+        #: The device's allocator setting (§4.1), read once.
+        self.reuse_buffers = device.reuse_buffers
         self.max_iterations = max_iterations
         #: Keep allocation sites warm across run() calls — a session
         #: batching several databases through one program reuses the
@@ -103,7 +103,7 @@ class ApmInterpreter:
         responsible for eligibility (idempotent ⊕, no negation).
         """
         database.finalize()
-        transfers = cached_plan(program, self.enable_stratum_scheduling)
+        transfers = cached_plan(program)
         for index, stratum in enumerate(program.strata):
             span = self._start_stratum_span(index, stratum)
             self._charge_transfers(transfers.get(index, ()), database, to_device=True)
@@ -165,7 +165,7 @@ class ApmInterpreter:
         for name, rel in database.relations.items():
             if rel.n_changed():
                 affected.add(name)
-        transfers = cached_plan(program, self.enable_stratum_scheduling)
+        transfers = cached_plan(program)
         for index, stratum in enumerate(program.strata):
             touched = affected & (
                 self._stratum_reads(stratum) | set(stratum.predicates)
@@ -555,7 +555,7 @@ class ApmInterpreter:
             # accounting) alongside the allocation counters.
             self.device.record_kernel(len(array))
             profile.allocation_count += 1
-            if self.enable_buffer_reuse and name in self._seen_sites:
+            if self.reuse_buffers and name in self._seen_sites:
                 profile.reused_allocations += 1
             else:
                 profile.bytes_allocated += array.nbytes
@@ -698,7 +698,7 @@ class ApmInterpreter:
 
         if variant_span is not None:
             tracer.finish(variant_span, self.trace_clock())
-        if not self.enable_buffer_reuse:
+        if not self.reuse_buffers:
             self._retained_bytes += sum(
                 value.nbytes
                 for value in registers.values()

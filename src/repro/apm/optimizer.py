@@ -10,7 +10,9 @@ APM's SSA, straight-line form makes passes trivial to state:
 
 Buffer reuse (§4.1) and static hash-index reuse (§4.2) are *runtime*
 behaviours keyed on structures the compiler marks (allocation sites and
-``static_key``); they are toggled on the interpreter, not here.
+``static_key``), not passes: buffer reuse follows the device's
+``reuse_buffers`` setting, and static reuse the engine's
+``OptimizationConfig.static_indices``.
 """
 
 from __future__ import annotations

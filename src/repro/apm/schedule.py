@@ -4,12 +4,9 @@ Relations start in host memory; the scheduler decides when to ship them to
 the device and back.  The paper's heuristic: find the longest-running
 stratum (estimated by its count of recursive joins), then expand the
 device-resident window forwards and backwards through adjacent strata, so
-intermediate relations never round-trip over the bus.
-
-With scheduling *disabled* (the "None"/"Alloc" ablation arms of Fig. 10),
-every stratum naively transfers its inputs in and its outputs out, and the
-transfer cost model of :class:`~repro.gpu.device.VirtualDevice` charges
-each crossing.
+intermediate relations never round-trip over the bus.  The transfer cost
+model of :class:`~repro.gpu.device.VirtualDevice` charges each crossing
+at the window's edges.
 """
 
 from __future__ import annotations
@@ -23,21 +20,17 @@ from . import instructions as I
 TransferPlan = dict[int, tuple[tuple[str, ...], tuple[str, ...]]]
 
 #: Plans memoized per compiled program (compile once, plan once): the
-#: plan depends only on the program and the optimized flag, and compiled
-#: programs are shared across engines through the program cache.
-_PLAN_CACHE: "WeakKeyDictionary[ApmProgram, dict[bool, TransferPlan]]" = (
-    WeakKeyDictionary()
-)
+#: plan depends only on the program, and compiled programs are shared
+#: across engines through the program cache.
+_PLAN_CACHE: "WeakKeyDictionary[ApmProgram, TransferPlan]" = WeakKeyDictionary()
 
 
-def cached_plan(program: ApmProgram, optimized: bool) -> TransferPlan:
+def cached_plan(program: ApmProgram) -> TransferPlan:
     """Memoized :func:`plan_transfers` keyed on program identity."""
-    plans = _PLAN_CACHE.get(program)
-    if plans is None:
-        plans = _PLAN_CACHE.setdefault(program, {})
-    if optimized not in plans:
-        plans[optimized] = plan_transfers(program, optimized)
-    return plans[optimized]
+    plan = _PLAN_CACHE.get(program)
+    if plan is None:
+        plan = _PLAN_CACHE.setdefault(program, plan_transfers(program))
+    return plan
 
 
 def stratum_inputs(program: ApmProgram, index: int) -> set[str]:
@@ -55,26 +48,18 @@ def stratum_outputs(program: ApmProgram, index: int) -> set[str]:
     return {rule.target for rule in program.strata[index].rules}
 
 
-def plan_transfers(program: ApmProgram, optimized: bool) -> TransferPlan:
+def plan_transfers(program: ApmProgram) -> TransferPlan:
     """Compute per-stratum host<->device transfer sets.
 
     Returns a map ``stratum index -> (in_relations, out_relations)``;
     strata absent from the map incur no transfers at their boundary.
+    Only the window's first and last strata appear.
     """
     n = len(program.strata)
     if n == 0:
         return {}
 
-    if not optimized:
-        return {
-            index: (
-                tuple(sorted(stratum_inputs(program, index))),
-                tuple(sorted(stratum_outputs(program, index))),
-            )
-            for index in range(n)
-        }
-
-    # Optimized: one contiguous device window around the hottest stratum.
+    # One contiguous device window around the hottest stratum.
     scores = [stratum.score for stratum in program.strata]
     hottest = max(range(n), key=lambda index: scores[index])
     start = hottest
@@ -95,15 +80,11 @@ def plan_transfers(program: ApmProgram, optimized: bool) -> TransferPlan:
             end += 1
             changed = True
 
-    window_in = _window_inputs(program, start, end)
-    window_out = _window_outputs(program, start, end)
-    plan: TransferPlan = {}
-    plan[start] = (tuple(sorted(window_in)), ())
-    outputs_entry = plan.get(end, ((), ()))
-    plan[end] = (outputs_entry[0] if end != start else plan[start][0], tuple(sorted(window_out)))
-    if end == start:
-        plan[start] = (tuple(sorted(window_in)), tuple(sorted(window_out)))
-    return plan
+    window_in = tuple(sorted(_window_inputs(program, start, end)))
+    window_out = tuple(sorted(_window_outputs(program, start, end)))
+    if start == end:
+        return {start: (window_in, window_out)}
+    return {start: (window_in, ()), end: ((), window_out)}
 
 
 def _window_inputs(program: ApmProgram, start: int, end: int) -> set[str]:

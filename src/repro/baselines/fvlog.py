@@ -1,20 +1,23 @@
 """The FVLog baseline: GPU Datalog without an IR (§6.2, Fig. 13).
 
-FVLog is the latest GPU-accelerated *discrete* Datalog engine.  Two
-characteristics distinguish it from Lobster and are reproduced here:
+FVLog is the latest GPU-accelerated *discrete* Datalog engine.  It has no
+IR, hence no IR-level optimizations — the Fig. 13/Table 3 comparison
+attributes Lobster's edge to APM's optimization passes and runtime reuse.
+This stand-in therefore runs Lobster's vectorized kernels on the same
+Datalog source (so benchmarks hand both systems identical logic) with:
 
-* **no user-facing front-end or query planner** — FVLog programs are
-  hand-written relational algebra.  :meth:`FVLogEngine.from_ram` accepts a
-  RAM program directly; the convenience Datalog constructor exists purely
-  so benchmarks can hand both systems identical logic.
-* **no IR, hence no IR-level optimizations** — the Fig. 13/Table 3
-  comparison attributes Lobster's edge to APM's optimization passes, so
-  this engine runs the same vectorized kernels with every APM-level
-  optimization disabled (no buffer reuse, no static hash-index reuse, no
-  stratum scheduling, no DCE/fusion passes).
+* no APM passes (no DCE or projection fusion);
+* no static hash-index cache — every ``Build`` re-hashes its side;
+* no buffer reuse, through the device it runs on
+  (``VirtualDevice(reuse_buffers=False)``, the default here): every
+  allocation pays the simulated allocation latency, and an iteration's
+  temporaries stay charged against the device's capacity, which is what
+  makes FVLog run out of memory first in Table 3.
 
-Only the unit provenance is supported, matching FVLog's discrete-only
-feature set.
+It does not model FVLog's per-stratum host<->device transfers: the
+modeled transfer clock books Lobster's §5.3 offload window for both
+engines.  Only the unit provenance is supported, matching FVLog's
+discrete-only feature set.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ from ..runtime.engine import ExecutionResult, LobsterEngine, OptimizationConfig
 
 
 class FVLogEngine(LobsterEngine):
-    """Discrete-only vectorized engine with all IR optimizations off."""
+    """Discrete-only vectorized engine with APM passes, static indices and
+    buffer reuse off."""
 
     def __init__(
         self,
@@ -38,7 +42,7 @@ class FVLogEngine(LobsterEngine):
             source,
             provenance="unit",
             device=device,
-            optimizations=OptimizationConfig.none(),
+            optimizations=OptimizationConfig(static_indices=False, apm_passes=False),
             max_iterations=max_iterations,
         )
 

@@ -3,7 +3,7 @@
 The surface language follows Scallop's (Fig. 3c): ``type`` declarations,
 ``rel`` rules with ``:-`` or ``=`` bodies, conjunction via ``,``/``and``,
 disjunction via ``or``, comparisons, arithmetic in terms, and stratified
-negation via ``not`` (an extension; see DESIGN.md §6).
+negation via ``not`` (an extension; see docs/architecture.md, "Front end").
 """
 
 from __future__ import annotations

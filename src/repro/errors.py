@@ -132,15 +132,6 @@ class CheckpointMismatchError(LobsterError):
     """
 
 
-class BenchRecordError(LobsterError):
-    """Raised when a machine-readable benchmark record (``BENCH_*.json``)
-    fails schema validation: wrong/missing ``schema_version``, missing
-    required fields, or ill-typed trial samples.  A record that fails to
-    validate is never silently gated against — regression checks need to
-    trust both sides of the comparison.
-    """
-
-
 class SessionError(LobsterError):
     """Raised on invalid session ticket operations."""
 

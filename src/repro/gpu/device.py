@@ -6,13 +6,14 @@ is the same SIMD computational model APM codifies (no per-row control flow,
 contiguous columnar buffers).  The device additionally models the two
 hardware resources the paper's experiments depend on:
 
-* **memory capacity** — allocations are charged against a byte budget; when
-  the arena would exceed it, :class:`~repro.errors.DeviceOutOfMemory` is
-  raised.  This reproduces the OOM rows of Table 3.
+* **memory capacity** — the interpreter charges live bytes against a byte
+  budget; when they would exceed it,
+  :class:`~repro.errors.DeviceOutOfMemory` is raised.  This reproduces the
+  OOM rows of Table 3.
 * **host<->device transfers** — moving a table on or off the device costs
   ``latency + bytes / bandwidth`` seconds of *simulated* time, accumulated in
-  :attr:`DeviceProfile.transfer_seconds`.  The stratum-offload scheduling
-  ablation (Fig. 10) is driven by this counter.
+  :attr:`DeviceProfile.transfer_seconds` at the edges of the stratum
+  offload window (§5.3).
 
 The device also keeps simple kernel-launch statistics used by tests and the
 ablation benchmarks.
@@ -21,10 +22,6 @@ ablation benchmarks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
-
-from ..errors import DeviceOutOfMemory
 
 #: Default PCIe-like transfer model (roughly a Gen3 x16 link).
 DEFAULT_BANDWIDTH_BYTES_PER_S = 12e9
@@ -142,19 +139,28 @@ class DeviceProfile:
 
 
 class VirtualDevice:
-    """Arena-allocating register store with a memory and transfer model.
+    """Static-register store with a memory, allocation and transfer model.
 
     Parameters
     ----------
     capacity_bytes:
-        Maximum number of live arena bytes.  ``None`` means unbounded.
+        Maximum number of live bytes — registers, stored relations and
+        retained temporaries, as the interpreter counts them.  ``None``
+        means unbounded.
     bandwidth_bytes_per_s, transfer_latency_s:
         Parameters of the host<->device transfer cost model.
     reuse_buffers:
-        When True (the buffer-reuse optimization of §4.1), buffers released
-        at the end of a fix-point iteration are kept in per-size free lists
-        and handed back to later allocations of compatible size/dtype
-        instead of allocating fresh memory.
+        The allocator setting (the buffer-reuse optimization of §4.1), read
+        by every interpreter running on this device.  When True, an
+        allocation at an allocation site already seen is counted in
+        :attr:`DeviceProfile.reused_allocations` and pays no simulated
+        allocation latency, and an iteration's temporaries are recycled
+        into the next.  When False, every allocation pays
+        ``ALLOC_LATENCY_S`` (charged in
+        ``ExecutionResult.simulated_overhead_seconds``) and a stratum's
+        temporaries stay charged against ``capacity_bytes`` until it
+        ends — the fragmentation that makes a no-reuse engine run out of
+        memory first.
     """
 
     def __init__(
@@ -169,70 +175,8 @@ class VirtualDevice:
         self.transfer_latency_s = transfer_latency_s
         self.reuse_buffers = reuse_buffers
         self.profile = DeviceProfile()
-        self._live_bytes = 0
-        # Free lists keyed by (dtype str, itemsize-rounded capacity).
-        self._free_lists: dict[tuple[str, int], list[np.ndarray]] = {}
         # Static registers (hash indices reused across iterations, §4.2).
         self._statics: dict[object, object] = {}
-
-    # ------------------------------------------------------------------
-    # Allocation
-
-    @property
-    def live_bytes(self) -> int:
-        return self._live_bytes
-
-    def allocate(self, size: int, dtype: np.dtype | str = np.int64) -> np.ndarray:
-        """Allocate a vector register of ``size`` elements of ``dtype``."""
-        dtype = np.dtype(dtype)
-        nbytes = int(size) * dtype.itemsize
-        if self.reuse_buffers:
-            key = (dtype.str, self._bucket(nbytes))
-            free = self._free_lists.get(key)
-            if free:
-                buffer = free.pop()
-                self.profile.reused_allocations += 1
-                self.profile.allocation_count += 1
-                return buffer[:size] if buffer.shape[0] >= size else self._fresh(size, dtype)
-        return self._fresh(size, dtype)
-
-    def _fresh(self, size: int, dtype: np.dtype) -> np.ndarray:
-        nbytes = int(size) * dtype.itemsize
-        self._charge(nbytes)
-        self.profile.allocation_count += 1
-        self.profile.bytes_allocated += nbytes
-        return np.empty(int(size), dtype=dtype)
-
-    def _charge(self, nbytes: int) -> None:
-        self._live_bytes += nbytes
-        if self.capacity_bytes is not None and self._live_bytes > self.capacity_bytes:
-            self._live_bytes -= nbytes
-            raise DeviceOutOfMemory(
-                f"allocation of {nbytes} bytes exceeds device capacity "
-                f"({self._live_bytes} live of {self.capacity_bytes})"
-            )
-        self.profile.peak_arena_bytes = max(self.profile.peak_arena_bytes, self._live_bytes)
-
-    def release(self, buffer: np.ndarray) -> None:
-        """Return a buffer to the arena (free-list it if reuse is enabled)."""
-        base = buffer.base if buffer.base is not None else buffer
-        if self.reuse_buffers:
-            key = (base.dtype.str, self._bucket(base.nbytes))
-            self._free_lists.setdefault(key, []).append(base)
-        else:
-            self._live_bytes -= base.nbytes
-
-    def reset_arena(self) -> None:
-        """Drop all free lists and live accounting (end of a query)."""
-        self._free_lists.clear()
-        self._live_bytes = 0
-
-    @staticmethod
-    def _bucket(nbytes: int) -> int:
-        """Round a byte size up to a power-of-two bucket for free lists."""
-        if nbytes <= 0:
-            return 0
-        return 1 << (int(nbytes) - 1).bit_length()
 
     # ------------------------------------------------------------------
     # Static registers (§4.2)

@@ -4,7 +4,7 @@ A RAM program is a sequence of strata; each stratum holds rules
 ``target ← expression`` that iterate to a fix point.  Expressions form a
 dataflow tree over the operators π (project), σ (select), ⊲⊳ (join on a
 column prefix), ∪, ×, ∩, plus an anti-join extension used for stratified
-negation (DESIGN.md §6).
+negation (docs/architecture.md, "Front end").
 
 Join convention: ``Join(left, right, width)`` equi-joins on the *first*
 ``width`` columns of both inputs; output columns are all of the left's

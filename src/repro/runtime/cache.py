@@ -48,30 +48,27 @@ CACHE_SCHEMA_VERSION = 2
 
 @dataclass
 class OptimizationConfig:
-    """Toggles for the paper's optimizations (the Fig. 10 ablation arms).
+    """Toggles for the paper's optimizations that change host work.
 
-    ``apm_passes`` changes the compiled program (it gates the APM-level
-    DCE/fusion passes); the other three are runtime toggles.  All four are
-    part of the program-cache key so an ablation arm never sees another
-    arm's artifact.
+    ``static_indices`` reuses the hash indices of iteration-invariant
+    join sides across iterations (§4.2); ``apm_passes`` changes the
+    compiled program (it gates the APM-level DCE/fusion passes).  Both
+    are part of the program-cache key so an ablation arm never sees
+    another arm's artifact.  Buffer reuse (§4.1) is the device's
+    allocator setting
+    (:attr:`~repro.gpu.device.VirtualDevice.reuse_buffers`), and stratum
+    offload scheduling (§5.3) always plans one device window.
     """
 
-    buffer_reuse: bool = True
     static_indices: bool = True
-    stratum_scheduling: bool = True
     apm_passes: bool = True
 
     @classmethod
     def none(cls) -> "OptimizationConfig":
-        return cls(False, False, False, False)
+        return cls(False, False)
 
     def key_fields(self) -> tuple[bool, ...]:
-        return (
-            self.buffer_reuse,
-            self.static_indices,
-            self.stratum_scheduling,
-            self.apm_passes,
-        )
+        return (self.static_indices, self.apm_passes)
 
 
 @dataclass

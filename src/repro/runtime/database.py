@@ -108,6 +108,35 @@ def _checked_rows(name: str, rows, schema: tuple[np.dtype, ...] | None) -> list[
     return checked
 
 
+def _checked_probs(name: str, probs) -> list[float]:
+    """``probs`` as floats, or a :class:`FactError` naming the first one
+    that is not a number in [0, 1] (NaN and ±inf are not)."""
+
+    def misfit(index):
+        return FactError(
+            f"relation {name!r}: prob {index} is {probs[index]!r}, "
+            "not a number in [0, 1]"
+        )
+
+    if isinstance(probs, np.ndarray) and probs.ndim == 1 and probs.dtype.kind in "biuf":
+        values = probs.astype(np.float64)
+    else:
+        try:
+            # One C call: every prob a real number.
+            values = np.frombuffer(array("d", probs), dtype=np.float64)
+        except TypeError:
+            for index, prob in enumerate(probs):
+                try:
+                    array("d", [prob])
+                except TypeError:
+                    raise misfit(index) from None
+            raise
+    outside = ~((values >= 0.0) & (values <= 1.0))
+    if outside.any():
+        raise misfit(int(np.argmax(outside)))
+    return values.tolist()
+
+
 class Database:
     """Named relations sharing one provenance semiring."""
 
@@ -192,14 +221,17 @@ class Database:
         Calling this after the database has been evaluated marks the rows
         as a pending delta; the next engine run folds them in.
 
-        Rows that do not fit the relation (arity, non-numeric cells) or a
-        ``probs`` of another length raise :class:`~repro.errors.FactError`
-        before anything is stored.
+        Rows that do not fit the relation (arity, non-numeric cells), a
+        ``probs`` of another length, or a prob that is not a number in
+        [0, 1] raise :class:`~repro.errors.FactError` before anything is
+        stored.
         """
-        if probs is not None and len(probs) != len(rows):
-            raise FactError(
-                f"relation {name!r}: {len(probs)} probs for {len(rows)} rows"
-            )
+        if probs is not None:
+            if len(probs) != len(rows):
+                raise FactError(
+                    f"relation {name!r}: {len(probs)} probs for {len(rows)} rows"
+                )
+            probs = _checked_probs(name, probs)
         schema = self.schemas.get(name)
         if schema is None and len(rows) == 0:
             # Undeclared and no row to infer a schema from: nothing to store.
@@ -220,11 +252,10 @@ class Database:
                 group = self.new_exclusion_group()
         start = len(self._probs)
         ids = np.arange(start, start + len(rows), dtype=np.int64)
-        for row, prob in zip(rows, probs):
-            pending_rows.append(row)
-            pending_ids.append(len(self._probs))
-            self._probs.append(float(prob))
-            self._groups.append(group)
+        pending_rows.extend(rows)
+        pending_ids.extend(range(start, start + len(rows)))
+        self._probs.extend(probs)
+        self._groups.extend([group] * len(rows))
         return ids
 
     @staticmethod

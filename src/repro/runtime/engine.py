@@ -90,7 +90,7 @@ class ExecutionResult:
     wall_seconds: float
     #: *Modeled* device-seconds of overhead for this run: host<->device
     #: transfer time from the device's bandwidth/latency model, plus
-    #: simulated allocation latency when buffer reuse is disabled.  These
+    #: simulated allocation latency on a device without buffer reuse.  These
     #: seconds are accounting from :class:`DeviceProfile` counters — they
     #: never elapse on the host clock.
     simulated_overhead_seconds: float
@@ -264,9 +264,7 @@ class LobsterEngine:
         self.ram = compiled.ram
         self.apm: ApmProgram = compiled.apm
         self._batch_fact_rows = compiled.batch_fact_rows
-        self.device = device or VirtualDevice(
-            reuse_buffers=self.optimizations.buffer_reuse
-        )
+        self.device = device or VirtualDevice()
         #: Serializes session drains over this engine's device — held
         #: by every LobsterSession.run_all targeting this engine, so two
         #: sessions sharing one engine cannot interleave on its device.
@@ -467,15 +465,14 @@ class LobsterEngine:
         self, device: VirtualDevice, warm: bool = False
     ) -> ApmInterpreter:
         """An interpreter on ``device`` under this engine's optimization
-        flags.  ``warm`` (sessions) keeps allocation sites across runs,
-        so queries after the first reuse the previous one's buffers."""
+        flags and the device's allocator setting.  ``warm`` (sessions)
+        keeps allocation sites across runs, so on a reusing device queries
+        after the first reuse the previous one's buffers."""
         return ApmInterpreter(
             device,
             enable_static_reuse=self.optimizations.static_indices,
-            enable_buffer_reuse=self.optimizations.buffer_reuse,
-            enable_stratum_scheduling=self.optimizations.stratum_scheduling,
             max_iterations=self.max_iterations,
-            retain_allocation_sites=warm and self.optimizations.buffer_reuse,
+            retain_allocation_sites=warm,
         )
 
     def _execute(
@@ -528,7 +525,7 @@ class LobsterEngine:
         # live device profile is reset by the next run on this engine.
         profile = profile.since(before)
         overhead = profile.transfer_seconds + (
-            0.0 if self.optimizations.buffer_reuse else profile.alloc_seconds
+            0.0 if interpreter.reuse_buffers else profile.alloc_seconds
         )
         return ExecutionResult(
             wall,

@@ -11,8 +11,9 @@ amortizes every one-time cost the device profile models:
   in :mod:`repro.apm.schedule`);
 * allocation sites stay warm across queries — one shared
   :class:`~repro.apm.interpreter.ApmInterpreter` retains its allocation
-  sites, so after the first database the arena hands back the previous
-  query's buffers instead of paying the simulated allocation latency.
+  sites, so on a device with buffer reuse on, queries after the first
+  reuse the previous query's buffers instead of paying the simulated
+  allocation latency.
 
 For throughput serving, a session can spread its queries across a
 :class:`~repro.dist.pool.DevicePool`: queries round-robin over the pool's

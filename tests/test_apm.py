@@ -11,6 +11,7 @@ from repro.apm.compiler import compile_ram
 from repro.apm.schedule import plan_transfers, stratum_inputs, stratum_outputs
 from repro.datalog import compile_source
 from repro.ram import compile_program
+from repro.workloads import clutrr, hwf, pacman, pathfinder, rna, static_analysis
 
 TC = "rel path(x, y) :- edge(x, y) or (path(x, z) and edge(z, y))."
 
@@ -103,21 +104,36 @@ class TestSchedule:
         assert "e" in stratum_inputs(apm, 0)
         assert stratum_outputs(apm, 0) == {"tc"}
 
-    def test_naive_plan_transfers_every_stratum(self):
-        apm = compile_ram(compile_program(compile_source(self.SRC)))
-        plan = plan_transfers(apm, optimized=False)
-        assert set(plan) == {0, 1, 2}
+    def test_plan_crosses_only_at_window_edges(self):
+        """The §5.3 window: inputs ship in at its first stratum, outputs
+        out at its last, and no relation crosses twice in one direction."""
+        sources = [self.SRC] + [
+            workload.PROGRAM
+            for workload in (clutrr, hwf, pacman, pathfinder, rna, static_analysis)
+        ]
+        for source in sources:
+            apm = compile_ram(compile_program(compile_source(source)))
+            plan = plan_transfers(apm)
+            start, end = min(plan), max(plan)
+            hottest = max(apm.strata, key=lambda stratum: stratum.score)
+            assert len(plan) <= 2
+            assert start <= apm.strata.index(hottest) <= end
+            assert not plan[start][1] or start == end
+            assert not plan[end][0] or start == end
+            for direction in (0, 1):
+                shipped = [name for spec in plan.values() for name in spec[direction]]
+                assert len(shipped) == len(set(shipped)), (source, direction)
 
     def test_optimized_plan_single_window(self):
         apm = compile_ram(compile_program(compile_source(self.SRC)))
-        plan = plan_transfers(apm, optimized=True)
+        plan = plan_transfers(apm)
         ins = [spec[0] for spec in plan.values() if spec[0]]
         outs = [spec[1] for spec in plan.values() if spec[1]]
         assert len(ins) == 1 and len(outs) >= 1
 
     def test_empty_program(self):
         apm = compile_ram(compile_program(compile_source("rel p(x) :- q(x).")))
-        assert plan_transfers(apm, True)
+        assert plan_transfers(apm)
 
 
 class TestInterpreterInstructionLevel:

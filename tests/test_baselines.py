@@ -130,7 +130,9 @@ class TestFVLog:
 
     def test_no_optimizations(self):
         engine = FVLogEngine(TC)
-        assert not engine.optimizations.buffer_reuse
+        assert not engine.device.reuse_buffers
         assert not engine.optimizations.static_indices
-        assert not engine.optimizations.stratum_scheduling
         assert not engine.optimizations.apm_passes
+        db = engine.create_database()
+        db.add_facts("edge", [(i, i + 1) for i in range(10)])
+        assert engine.run(db).profile.reused_allocations == 0

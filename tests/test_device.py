@@ -2,56 +2,41 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro import DeviceOutOfMemory, VirtualDevice
+from repro import DeviceOutOfMemory, LobsterEngine, OptimizationConfig, VirtualDevice
 from repro.gpu.device import DeviceProfile
+
+TC = "rel path(x, y) :- edge(x, y) or (path(x, z) and edge(z, y))."
 
 
 class TestAllocation:
-    def test_allocate_returns_requested_shape(self):
-        device = VirtualDevice()
-        buffer = device.allocate(100, np.int64)
-        assert buffer.shape == (100,) and buffer.dtype == np.int64
+    """The device holds no buffers: its allocator setting and capacity are
+    read by the interpreter, so they are tested through an engine run."""
+
+    @staticmethod
+    def run_tc(device, n_edges=30):
+        engine = LobsterEngine(
+            TC, device=device, optimizations=OptimizationConfig(static_indices=False)
+        )
+        db = engine.create_database()
+        db.add_facts("edge", [(i, i + 1) for i in range(n_edges)])
+        return engine.run(db)
 
     def test_capacity_enforced(self):
-        device = VirtualDevice(capacity_bytes=1000)
         with pytest.raises(DeviceOutOfMemory):
-            device.allocate(1000, np.int64)  # 8000 bytes
-
-    def test_free_list_reuse(self):
-        device = VirtualDevice(reuse_buffers=True)
-        first = device.allocate(64, np.int64)
-        device.release(first)
-        second = device.allocate(64, np.int64)
-        assert device.profile.reused_allocations == 1
-        assert second.base is first or second is first
+            self.run_tc(VirtualDevice(capacity_bytes=1000))
 
     def test_no_reuse_when_disabled(self):
-        device = VirtualDevice(reuse_buffers=False)
-        first = device.allocate(64, np.int64)
-        device.release(first)
-        device.allocate(64, np.int64)
-        assert device.profile.reused_allocations == 0
+        reused = self.run_tc(VirtualDevice()).profile
+        fresh = self.run_tc(VirtualDevice(reuse_buffers=False)).profile
+        assert reused.reused_allocations > 0
+        assert fresh.reused_allocations == 0
+        assert fresh.alloc_seconds > reused.alloc_seconds
 
     def test_peak_tracking(self):
-        device = VirtualDevice(capacity_bytes=10_000_000)
-        device.allocate(100, np.int64)
-        device.allocate(200, np.int64)
-        assert device.profile.peak_arena_bytes >= 2400
-
-    def test_bucket_rounding(self):
-        assert VirtualDevice._bucket(100) == 128
-        assert VirtualDevice._bucket(128) == 128
-        assert VirtualDevice._bucket(0) == 0
-
-    def test_reset_arena(self):
-        device = VirtualDevice()
-        buffer = device.allocate(10, np.int64)
-        device.release(buffer)
-        device.reset_arena()
-        assert device.live_bytes == 0
+        profile = self.run_tc(VirtualDevice(capacity_bytes=10_000_000)).profile
+        assert profile.peak_arena_bytes >= 8 * 2 * 30  # the stored edges
 
 
 class TestStatics:

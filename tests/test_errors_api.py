@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import re
 from pathlib import Path
@@ -134,7 +135,11 @@ class TestPublicApi:
             "ShardedExecutor",
         ):
             assert name not in repro.__all__ and not hasattr(repro, name), name
-        assert len(repro.__all__) == 55
+        assert len(repro.__all__) == 54
+
+    def test_removed_bench_record_error_is_gone(self):
+        assert "BenchRecordError" not in repro.__all__
+        assert not hasattr(errors, "BenchRecordError")
 
     def test_removed_planner_statistics_exports_are_gone(self):
         for name in (
@@ -159,3 +164,14 @@ class TestPublicApi:
         ]
         assert documented == named
         assert len(named) == 8
+
+    def test_optimization_config_fields_are_the_documented_ones(self):
+        """The ``optimizations`` row names every OptimizationConfig field:
+        the Fig. 10 arms that change host work, the knob count ROADMAP
+        tracks."""
+        text = (Path(__file__).parent.parent / "docs" / "architecture.md").read_text()
+        (row,) = re.findall(r"^\| `optimizations` \|(.*)\|$", text, flags=re.MULTILINE)
+        documented = re.findall(r"`(\w+)`", row.split(":", 1)[1])
+        fields = [field.name for field in dataclasses.fields(repro.OptimizationConfig)]
+        assert documented == fields
+        assert len(fields) == 2

@@ -1,4 +1,7 @@
-"""The §4/§5.3 optimizations: semantics preserved, profiles differ."""
+"""The §4/§5.3 optimizations: semantics preserved, profiles differ.
+
+An ablation arm is an :class:`OptimizationConfig` plus the device's
+``reuse_buffers`` allocator setting (§4.1)."""
 
 from __future__ import annotations
 
@@ -19,8 +22,13 @@ query flagged
 """
 
 
-def run_with(edges, config: OptimizationConfig):
-    engine = LobsterEngine(TC_PROGRAM, provenance="unit", optimizations=config)
+def run_with(edges, config: OptimizationConfig, reuse_buffers: bool = True):
+    engine = LobsterEngine(
+        TC_PROGRAM,
+        provenance="unit",
+        device=VirtualDevice(reuse_buffers=reuse_buffers),
+        optimizations=config,
+    )
     db = engine.create_database()
     db.add_facts("edge", edges)
     result = engine.run(db)
@@ -31,18 +39,18 @@ class TestAblationSemantics:
     @pytest.mark.parametrize(
         "config",
         [
-            OptimizationConfig(),
-            OptimizationConfig.none(),
-            OptimizationConfig(buffer_reuse=False),
-            OptimizationConfig(static_indices=False),
-            OptimizationConfig(stratum_scheduling=False),
-            OptimizationConfig(apm_passes=False),
+            (OptimizationConfig(), True),
+            (OptimizationConfig.none(), False),
+            (OptimizationConfig(), False),
+            (OptimizationConfig(static_indices=False), True),
+            (OptimizationConfig.none(), True),
+            (OptimizationConfig(apm_passes=False), True),
         ],
     )
     def test_results_identical_under_all_configs(self, config, rng):
         edges = random_digraph(rng, 30, 80)
         _, db_opt, _ = run_with(edges, OptimizationConfig())
-        _, db, _ = run_with(edges, config)
+        _, db, _ = run_with(edges, *config)
         assert set(db.result("path").rows()) == set(db_opt.result("path").rows())
 
 
@@ -71,41 +79,48 @@ class TestStaticIndices:
 
 class TestBufferReuse:
     def test_alloc_overhead_counted_when_disabled(self, rng):
+        """The device's ``reuse_buffers=False`` is the one switch: the
+        engine on it (static indices off too, so no index is reused
+        either) reuses nothing and charges every allocation's modeled
+        latency in ``simulated_overhead_seconds``."""
         edges = random_digraph(rng, 30, 90)
-        _, _, result = run_with(edges, OptimizationConfig(buffer_reuse=False))
-        assert result.simulated_overhead_seconds > 0
+        _, _, result = run_with(
+            edges, OptimizationConfig(static_indices=False), reuse_buffers=False
+        )
+        profile = result.profile
+        assert profile.reused_allocations == 0
+        assert profile.alloc_seconds > 0
+        assert result.simulated_overhead_seconds == pytest.approx(
+            profile.transfer_seconds + profile.alloc_seconds
+        )
         _, _, reused = run_with(edges, OptimizationConfig())
         assert reused.profile.reused_allocations > 0
+        assert reused.simulated_overhead_seconds == reused.profile.transfer_seconds
+
+    def test_retained_temporaries_run_out_of_memory_first(self, rng):
+        """Without reuse an iteration's temporaries stay charged until the
+        stratum ends, so a budget the reusing engine fits in is exceeded."""
+        edges = random_digraph(rng, 40, 160)
+
+        def run_on(device):
+            engine = LobsterEngine(TC_PROGRAM, device=device)
+            db = engine.create_database()
+            db.add_facts("edge", edges)
+            return engine.run(db)
+
+        budget = run_on(VirtualDevice(capacity_bytes=10**9)).profile.peak_arena_bytes
+        run_on(VirtualDevice(capacity_bytes=budget))
+        with pytest.raises(DeviceOutOfMemory):
+            run_on(VirtualDevice(capacity_bytes=budget, reuse_buffers=False))
 
 
 class TestStratumScheduling:
     def test_optimized_plan_fewer_transfers(self):
+        """One device window: bus crossings at two strata boundaries at
+        most, fewer than the program has strata."""
         engine = LobsterEngine(MULTI_STRATUM, provenance="unit")
-        optimized = plan_transfers(engine.apm, True)
-        naive = plan_transfers(engine.apm, False)
-        assert len(naive) == len(engine.apm.strata)
-        assert len(optimized) <= len(naive)
-
-    def test_scheduling_reduces_transfer_time(self, rng):
-        edges = random_digraph(rng, 30, 80)
-        engine_on = LobsterEngine(MULTI_STRATUM, provenance="unit")
-        db = engine_on.create_database()
-        db.add_facts("e", edges)
-        db.add_facts("mark", [(n,) for n in range(5)])
-        on = engine_on.run(db)
-
-        engine_off = LobsterEngine(
-            MULTI_STRATUM,
-            provenance="unit",
-            optimizations=OptimizationConfig(stratum_scheduling=False),
-        )
-        db2 = engine_off.create_database()
-        db2.add_facts("e", edges)
-        db2.add_facts("mark", [(n,) for n in range(5)])
-        off = engine_off.run(db2)
-
-        assert on.profile.transfer_seconds < off.profile.transfer_seconds
-        assert set(db.result("flagged").rows()) == set(db2.result("flagged").rows())
+        plan = plan_transfers(engine.apm)
+        assert len(plan) <= 2 < len(engine.apm.strata)
 
 
 class TestApmPasses:

@@ -180,6 +180,54 @@ class TestDatabase:
         assert isinstance(raised.value, LobsterError)
         assert "'edge'" in str(raised.value)
 
+    @pytest.mark.parametrize(
+        "probs, index",
+        [
+            ([0.5, "x"], 1),
+            ([0.5, "0.5"], 1),
+            ([0.5, None], 1),
+            ([float("nan"), 0.5], 0),
+            ([0.5, 1.5], 1),
+            ([-0.5, 0.5], 0),
+            ([0.5, float("inf")], 1),
+            (np.array([0.5, -np.inf]), 1),
+            (np.array([0.5, np.nan], dtype=np.float32), 1),
+        ],
+    )
+    def test_bad_probs_rejected_before_anything_is_stored(self, probs, index):
+        """Every prob is a number in [0, 1], checked before any row is
+        stored — a failed call leaves no half-stored row behind."""
+        db = self.make()
+        version = db.version
+        with pytest.raises(FactError, match=rf"'edge'.*prob {index}\b"):
+            db.add_facts("edge", [(0, 1), (1, 2)], probs=probs)
+        assert db.version == version and not db.has_pending_facts
+        assert db.add_facts("edge", [(2, 3)], probs=[0.9]).tolist() == [0]
+
+    def test_failed_probs_call_leaves_later_facts_correct(self):
+        """A rejected call once stored ``(0, 1)`` and half of ``(1, 2)``,
+        so the next call's prob landed on ``path(1, 2)``."""
+        from repro import LobsterEngine
+
+        engine = LobsterEngine(
+            "rel path(x, y) :- edge(x, y) or (path(x, z) and edge(z, y)).",
+            provenance="minmaxprob",
+        )
+        db = engine.create_database()
+        with pytest.raises(ValueError):  # FactError is a ValueError
+            db.add_facts("edge", [(0, 1), (1, 2)], probs=[0.5, "x"])
+        db.add_facts("edge", [(2, 3)], probs=[0.9])
+        engine.run(db)
+        assert engine.query_probs(db, "path") == {(2, 3): pytest.approx(0.9)}
+
+    def test_boundary_and_numeric_probs_accepted(self):
+        db = self.make()
+        probs = [0.0, 1, np.float32(0.25), True]
+        db.add_facts("edge", [(0, 1), (1, 2), (2, 3), (3, 4)], probs=probs)
+        db.add_facts("edge", [(4, 5)], probs=np.array([0.5], dtype=np.float32))
+        db.finalize()
+        assert db.input_probs.tolist() == [0.0, 1.0, 0.25, 1.0, 0.5]
+
     def assert_rejected(self, db, rows, index):
         """``rows`` raise FactError at add_facts naming the relation, its
         arity and the offending row, and nothing is stored."""
