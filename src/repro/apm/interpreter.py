@@ -36,9 +36,8 @@ from ..errors import DeviceOutOfMemory, ExecutionError
 from ..gpu import bytecode
 from ..obs import NULL_TRACER
 from ..gpu.device import ALLOC_LATENCY_S, VirtualDevice
-from ..gpu.hash_table import HashIndex
+from ..gpu.hash_table import HashIndex, RowLocator
 from ..runtime.database import Database
-from ..runtime.relation import RowLocator
 from ..runtime.table import Table
 
 DEFAULT_MAX_ITERATIONS = 100_000
@@ -229,7 +228,9 @@ class ApmInterpreter:
                 continue
             locator = locators.get(rule.target)
             if locator is None:
-                locator = locators[rule.target] = RowLocator(removed_head)
+                locator = locators[rule.target] = RowLocator(
+                    removed_head.columns, removed_head.n_rows
+                )
             load_tables: list[Table | None] = []
             for scan_index, scan in enumerate(scans_of_variant(rule.rederive_variant)):
                 mapped = rule.rederive_filters.get(scan_index)

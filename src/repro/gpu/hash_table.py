@@ -1,21 +1,28 @@
-"""Lock-free-style open-addressing hash index (§5.1).
+"""Join index over sorted keys (§5.1), and the row lookup behind it.
 
 The paper's join builds a *hash index*: an open-addressing, linear-probing
 table whose slots store **row indices into the source table**, never fact
-data, so the join's footprint is independent of relation width.  We
-reproduce the same structure with vectorized probing: every unresolved key
-advances one probe step per round, which is how a warp-synchronous CUDA
-implementation behaves.
+data, so the join's footprint is independent of relation width.  That
+table is what a device runs, one probe step per warp per round;
+:attr:`HashIndex.nbytes` models its footprint.  On the host the same
+question — which distinct key is this probe row? — is answered by a
+binary search over the keys in sorted order, :class:`RowLocator`, the one
+row lookup the engine has (stored relations locate their deltas with it
+too).
 
 Join keys repeat heavily in Datalog workloads (every ``path(x, z)`` row
-with the same ``z``), so slots hold one *representative* per distinct key
-and duplicates live in a CSR side array (row ids grouped by key).  This is
-the standard GPU hash-join layout: the probe resolves a key to its group,
-then emits the group's row range — insertion and probing cost is bounded
-by open-addressing chain length, never by duplicate multiplicity.  The
-groups come from :func:`~repro.gpu.kernels.group_rows` — one value sort
-of the packed keys — and key equality is row equality: ``-0.0`` matches
-``0.0`` and a NaN matches a NaN, as in deduplication.
+with the same ``z``), so the index keeps one *representative* per distinct
+key and duplicates live in a CSR side array (row ids grouped by key).
+This is the standard GPU hash-join layout: the probe resolves a key to
+its group, then emits the group's row range — lookup cost is bounded by
+the number of distinct keys, never by duplicate multiplicity.  The groups
+come from :func:`~repro.gpu.kernels.group_rows` — one value sort of the
+packed keys — so the representatives' keys are already sorted and a
+group's position among them is its group id.  Key equality is row
+equality: ``-0.0`` matches ``0.0`` and a NaN matches a NaN, as in
+deduplication.  A probe column of another dtype than its key column
+(an ``f64`` variable joined with an ``i64`` one) matches exact equals
+only: ``2.0`` finds ``2``, ``1.5`` finds nothing.
 """
 
 from __future__ import annotations
@@ -24,31 +31,174 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernels import exclusive_scan, group_rows, hash_columns, repeat_ranges
+from . import kernels
 
 #: Hash-table over-allocation factor (the parameter "O" of Fig. 6).
 DEFAULT_LOAD_FACTOR = 2.0
 
-_EMPTY = np.int64(-1)
 
+class RowLocator:
+    """Where rows sit in one lexicographically sorted table, given as its
+    ``columns`` and ``n_rows`` (an arity-0 table has no column to measure).
 
-class HashIndex:
-    """An immutable hash index over the first ``width`` columns of a table."""
+    Lookups are a binary search over the table's rows packed into 64-bit
+    keys (the same radix-pack trick :func:`~repro.gpu.kernels.lex_rank`
+    uses) instead of a fresh O((n+q) log) sort.  ``keys`` is
+    ``(params, packed)`` when the caller already holds the table's packed
+    rows (a stored relation's cached index); by default the rows are
+    packed here under parameters fitted to the table.  Tables whose rows
+    cannot pack (floats, >63 bits, arity 0) — ``params`` None — fall back
+    to the concatenate-and-rank path per call.
+    """
 
     def __init__(
         self,
         columns: Sequence[np.ndarray],
-        width: int,
-        load_factor: float = DEFAULT_LOAD_FACTOR,
+        n_rows: int,
+        keys: tuple[list[tuple[int, int]] | None, np.ndarray | None] | None = None,
     ):
-        self.columns = [np.asarray(c) for c in columns]
-        self.width = width
-        n = len(self.columns[0]) if self.columns else 0
-        self.n_rows = n
+        self.columns = columns
+        self.n_rows = n_rows
+        if keys is None:
+            params = kernels.pack_params(columns) if n_rows else None
+            keys = (params, None if params is None else kernels.pack_keys(columns, params))
+        #: (lo, bits) per column, or None when the rows are not packed.
+        self.params: list[tuple[int, int]] | None = keys[0]
+        self.keys: np.ndarray | None = keys[1]
+
+    def locate(
+        self, columns, n_query: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """``(pos, hit, query_keys)`` per query row: how many table rows
+        sort strictly before it, whether it is in the table, and the query
+        rows packed under :attr:`params` (None when unpacked).  Query
+        columns must have the table's dtypes, and on the packed path every
+        query value must lie inside its column's packed range
+        (``kernels.pack_params(columns, self.params) == self.params``);
+        :meth:`find` casts the columns and filters the other rows first."""
+        if not self.columns:
+            # Every arity-0 row is the empty tuple: present iff the table
+            # is nonempty, and sorting before nothing.
+            return (
+                np.zeros(n_query, dtype=np.int64),
+                np.full(n_query, self.n_rows > 0, dtype=bool),
+                None,
+            )
+        if self.keys is not None:
+            query = kernels.pack_keys(columns, self.params)
+            pos = np.searchsorted(self.keys, query)
+            if self.n_rows == 0:
+                return pos, np.zeros(n_query, dtype=bool), query
+            return pos, self.keys[np.minimum(pos, self.n_rows - 1)] == query, query
+        origin, order, segment_ids = self._merged_groups(columns, n_query)
+        from_table = origin == 0
+        seg_has_table = np.zeros(int(segment_ids[-1]) + 1, dtype=bool)
+        seg_has_table[segment_ids[from_table]] = True
+        # Table rows sort first in their group, so a query row's group
+        # mate (if any) is among the table rows counted before it.
+        table_before = np.cumsum(from_table)
+        is_query = ~from_table
+        rows = order[is_query] - self.n_rows
+        hit = np.zeros(n_query, dtype=bool)
+        hit[rows] = seg_has_table[segment_ids[is_query]]
+        pos = np.empty(n_query, dtype=np.int64)
+        pos[rows] = table_before[is_query] - hit[rows]
+        return pos, hit, None
+
+    def _merged_groups(
+        self, columns, n_query: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The unpackable-rows fallback of :meth:`locate`: merge-sort the
+        table's rows with the query rows and group equal rows.  Returns
+        ``(origin, order, segment_ids)`` in sorted position order, where
+        ``origin`` is 0 for table rows and 1 for query rows (the least
+        significant sort key, so table rows lead their group)."""
+        combined = [np.concatenate([fc, qc]) for fc, qc in zip(self.columns, columns)]
+        origin = np.concatenate(
+            [
+                np.zeros(self.n_rows, dtype=np.int64),
+                np.ones(n_query, dtype=np.int64),
+            ]
+        )
+        order = kernels.lex_rank(combined + [origin])
+        combined = [c[order] for c in combined]
+        is_first = kernels.row_group_boundaries(combined)
+        return origin[order], order, np.cumsum(is_first) - 1
+
+    def _comparable(self, columns) -> tuple[list[np.ndarray], np.ndarray | None]:
+        """The query rows :meth:`locate` can take — cast to the table's
+        dtypes — and their indices (None: all of them).  A value with no
+        exact equal in its column's dtype (``1.5`` or ``inf`` against an
+        integer column, ``2**53 + 1`` against a float one) is in no table
+        row, nor, on the packed path, is a value outside its column's
+        packed range."""
+        valid = None
+        query = []
+        for j, (column, col) in enumerate(zip(self.columns, columns)):
+            col = np.asarray(col)
+            if col.dtype != column.dtype:
+                with np.errstate(invalid="ignore"):
+                    cast = col.astype(column.dtype)
+                    exact = cast.astype(col.dtype) == col
+                if column.dtype.kind == "f":
+                    exact |= np.isnan(col)
+                col = cast
+                valid = exact if valid is None else valid & exact
+            if self.keys is not None:
+                lo, bits = self.params[j]
+                inside = (col >= lo) & (col <= lo + (1 << bits) - 1)
+                valid = inside if valid is None else valid & inside
+            query.append(col)
+        if valid is None or valid.all():
+            return query, None
+        rows = np.flatnonzero(valid)
+        return [c[rows] for c in query], rows
+
+    def find(self, columns, n_query: int) -> np.ndarray:
+        """The table row equal to each query row (int64), −1 where there
+        is none.  Values of another dtype match only their exact equals
+        (``1.0`` finds ``1``; ``1.5`` finds nothing).  ``n_query`` is
+        needed for arity-0 queries (no columns to measure)."""
+        if self.n_rows == 0 or n_query == 0:
+            return np.full(n_query, -1, dtype=np.int64)
+        query, rows = self._comparable(columns)
+        pos, hit, _ = self.locate(query, n_query if rows is None else len(rows))
+        if rows is None:
+            return np.where(hit, pos, -1)
+        found = np.full(n_query, -1, dtype=np.int64)
+        found[rows[hit]] = pos[hit]
+        return found
+
+    def contains(self, columns, n_query: int | None = None) -> np.ndarray:
+        """Boolean mask over the *query* rows present in the table (the
+        opposite direction of :meth:`member_mask`).  ``n_query`` must be
+        passed for arity-0 queries (no columns to measure)."""
+        if n_query is None:
+            n_query = len(columns[0]) if columns else 0
+        return self.find(columns, n_query) >= 0
+
+    def member_mask(self, columns) -> np.ndarray:
+        """Boolean mask over the *table's* rows hit by any query row."""
+        mask = np.zeros(self.n_rows, dtype=bool)
+        if not self.columns:
+            # All arity-0 rows are equal; any query row hits them all.
+            mask[:] = True
+            return mask
+        found = self.find(columns, len(columns[0]))
+        mask[found[found >= 0]] = True
+        return mask
+
+
+class HashIndex:
+    """An immutable join index over the first ``width`` columns of a table."""
+
+    def __init__(self, columns: Sequence[np.ndarray], width: int):
+        columns = [np.asarray(c) for c in columns]
+        n = len(columns[0]) if columns else 0
 
         # Group rows by key: sorted row-id array + CSR offsets.
         if width:
-            order, is_first = group_rows(self.columns[:width])
+            order, is_first = kernels.group_rows(columns[:width])
             firsts = np.flatnonzero(is_first)
         else:
             order = np.arange(n, dtype=np.int64)
@@ -59,85 +209,36 @@ class HashIndex:
         self.group_counts = np.diff(boundaries)
         #: Representative source row per distinct key.
         self.representatives = order[firsts] if n else firsts
-
-        n_groups = len(firsts)
-        capacity = max(16, int(max(n_groups, 1) * load_factor))
-        capacity = 1 << (capacity - 1).bit_length()  # power of two -> mask
-        self.capacity = capacity
-        self.slots = np.full(capacity, _EMPTY, dtype=np.int64)
-        if n_groups and width:
-            self._insert_groups()
+        # The distinct keys in sorted order: a key's position among them
+        # is its group id.  A width-0 index holds no key, so every probe
+        # misses, as in §5.1's table, which inserts nothing without a key.
+        self._groups = RowLocator(
+            [c[self.representatives] for c in columns[:width]],
+            len(firsts) if width else 0,
+        )
 
     # ------------------------------------------------------------------
 
     @property
     def nbytes(self) -> int:
+        """The device footprint: §5.1's slot table (one int64 row index
+        per slot, ``DEFAULT_LOAD_FACTOR`` slots per distinct key, rounded
+        up to a power of two) plus the CSR arrays.  The slot table is a
+        model, not a host allocation — the host looks groups up in the
+        sorted keys."""
+        capacity = max(16, int(max(len(self.group_offsets), 1) * DEFAULT_LOAD_FACTOR))
+        capacity = 1 << (capacity - 1).bit_length()
         return (
-            self.slots.nbytes
+            8 * capacity
             + self.row_ids.nbytes
             + self.group_offsets.nbytes
             + self.group_counts.nbytes
         )
 
-    def _insert_groups(self) -> None:
-        """Insert one slot entry per distinct key (group id), resolving
-        collisions by vectorized linear-probing rounds with emulated CAS."""
-        n_groups = len(self.group_offsets)
-        pending = np.arange(n_groups, dtype=np.int64)
-        rep_rows = self.representatives
-        keys = [c[rep_rows] for c in self.columns[: self.width]]
-        slot = (hash_columns(keys, self.width) % np.uint64(self.capacity)).astype(np.int64)
-        rounds = 0
-        while len(pending):
-            rounds += 1
-            if rounds > self.capacity + 1:
-                raise RuntimeError("hash index build failed to converge")
-            empty = self.slots[slot] == _EMPTY
-            attempt_groups = pending[empty]
-            attempt_slots = slot[empty]
-            # Emulated CAS: scatter, read back, losers retry next slot.
-            self.slots[attempt_slots] = attempt_groups
-            won = self.slots[attempt_slots] == attempt_groups
-            resolved_mask = np.zeros(len(pending), dtype=bool)
-            resolved_mask[np.flatnonzero(empty)[won]] = True
-            pending = pending[~resolved_mask]
-            slot = (slot[~resolved_mask] + 1) % self.capacity
-
-    # ------------------------------------------------------------------
-
     def _locate_groups(self, probe_columns: Sequence[np.ndarray]) -> np.ndarray:
         """Group id matched by each probe row (−1 when absent)."""
         m = len(probe_columns[0]) if probe_columns else 0
-        result = np.full(m, -1, dtype=np.int64)
-        if self.n_rows == 0 or m == 0 or self.width == 0:
-            return result
-        probe_cols = [np.asarray(c) for c in probe_columns]
-        pending = np.arange(m, dtype=np.int64)
-        slot = (hash_columns(probe_cols, self.width) % np.uint64(self.capacity)).astype(np.int64)
-        rounds = 0
-        while len(pending):
-            rounds += 1
-            if rounds > self.capacity + 1:
-                raise RuntimeError("hash probe failed to converge")
-            occupant = self.slots[slot]
-            alive = occupant != _EMPTY
-            if alive.any():
-                live = np.flatnonzero(alive)
-                live_pending = pending[live]
-                groups = occupant[live]
-                rep_rows = self.representatives[groups]
-                equal = np.ones(len(live), dtype=bool)
-                for k in range(self.width):
-                    built, probed = self.columns[k][rep_rows], probe_cols[k][live_pending]
-                    same = built == probed
-                    if built.dtype.kind == "f" or probed.dtype.kind == "f":
-                        same |= np.isnan(built) & np.isnan(probed)  # NaN is one value
-                    equal &= same
-                result[live_pending[equal]] = groups[equal]
-                alive[live[equal]] = False  # resolved: stop probing
-            pending = pending[alive]
-            slot = (slot[alive] + 1) % self.capacity
-        return result
+        return self._groups.find(probe_columns, m)
 
     def count(self, probe_columns: Sequence[np.ndarray]) -> np.ndarray:
         """APM ``count``: matching build rows per probe row."""
@@ -160,8 +261,8 @@ class HashIndex:
         counts = np.zeros(len(groups), dtype=np.int64)
         found = groups >= 0
         counts[found] = self.group_counts[groups[found]]
-        offsets = exclusive_scan(counts)
-        probe_ids, ranks = repeat_ranges(counts, offsets)
+        offsets = kernels.exclusive_scan(counts)
+        probe_ids, ranks = kernels.repeat_ranges(counts, offsets)
         build_ids = np.empty(len(probe_ids), dtype=np.int64)
         if len(probe_ids):
             matched_groups = groups[probe_ids]

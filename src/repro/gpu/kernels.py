@@ -311,32 +311,3 @@ def compact(mask: np.ndarray, columns: Sequence[np.ndarray]) -> list[np.ndarray]
     idx = np.flatnonzero(mask)
     return [np.asarray(c)[idx] for c in columns]
 
-
-def hash_columns(columns: Sequence[np.ndarray], width: int) -> np.ndarray:
-    """64-bit mixing hash of the first ``width`` columns of a table.
-
-    Uses a splitmix64-style mix per column, combined multiplicatively —
-    cheap, stateless, and vectorized, like the device hash in the paper's
-    runtime.  Float values hash by their float64 bits after ``-0.0``
-    becomes ``0.0`` and every NaN one NaN, so values that group together
-    (see :func:`row_group_boundaries`) hash alike.
-    """
-    if width == 0:
-        n = len(columns[0]) if columns else 0
-        return np.zeros(n, dtype=np.uint64)
-    acc = np.zeros(len(columns[0]), dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        for k in range(width):
-            col = np.asarray(columns[k])
-            if col.dtype.kind == "f":
-                col = col + np.float64(0.0)  # a float64 copy; -0.0 + 0.0 is 0.0
-                col[np.isnan(col)] = np.nan
-                col = col.view(np.uint64)
-            else:
-                col = col.astype(np.uint64)
-            z = col + np.uint64(0x9E3779B97F4A7C15)
-            z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-            z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-            z = z ^ (z >> np.uint64(31))
-            acc = acc * np.uint64(0x100000001B3) + z
-    return acc

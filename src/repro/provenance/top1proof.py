@@ -25,15 +25,35 @@ sorting a proof by fact id, conflicting facts are adjacent.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .base import SATURATION_EPS, Provenance
+from ..errors import ProvenanceError
 from ..gpu.kernels import segment_argmax
 
 #: Sentinel for empty proof slots; sorts after any real fact id.
 PAD = np.int64(2**62)
 
 DEFAULT_PROOF_CAPACITY = 64
+
+
+def positive_int(semiring: str, parameter: str, value) -> int:
+    """``value`` as an ``int`` of at least 1 — a register dimension.
+    Takes what :func:`operator.index` takes except ``bool``, so ``1.5``
+    and ``"4"`` are refused rather than truncated or parsed; anything else
+    raises :class:`~repro.errors.ProvenanceError` naming the semiring and
+    the parameter."""
+    try:
+        number = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or number < 1:
+        raise ProvenanceError(
+            f"provenance {semiring!r}: {parameter} must be an integer >= 1, got {value!r}"
+        )
+    return number
 
 
 class Top1ProofProvenance(Provenance):
@@ -44,7 +64,7 @@ class Top1ProofProvenance(Provenance):
 
     def __init__(self, proof_capacity: int = DEFAULT_PROOF_CAPACITY):
         super().__init__()
-        self.proof_capacity = int(proof_capacity)
+        self.proof_capacity = positive_int(self.name, "proof_capacity", proof_capacity)
         self._dtype = np.dtype(
             [("prob", "f8"), ("size", "i8"), ("proof", "i8", (self.proof_capacity,))]
         )

@@ -33,6 +33,7 @@ from .top1proof import (
     leave_one_out_products,
     live_proofs,
     live_width,
+    positive_int,
 )
 
 DEFAULT_K = 3
@@ -59,10 +60,10 @@ class TopKProofsDeviceProvenance(Provenance):
 
     def __init__(self, k: int = DEFAULT_K, proof_capacity: int = DEFAULT_PROOF_CAPACITY):
         super().__init__()
-        self.k = int(k)
-        self.proof_capacity = int(proof_capacity)
+        self.k = positive_int(self.name, "k", k)
+        self.proof_capacity = positive_int(self.name, "proof_capacity", proof_capacity)
         # Reuse top-1's merge kernel for pairwise proof unions.
-        self._merger = Top1ProofProvenance(proof_capacity)
+        self._merger = Top1ProofProvenance(self.proof_capacity)
         self._dtype = np.dtype(
             [
                 ("prob", "f8", (self.k,)),

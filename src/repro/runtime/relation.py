@@ -17,21 +17,23 @@ delta facts in:
 A fact re-enters the frontier if it is brand new or its tag strictly
 improved (tag saturation).
 
-Locating runs against a host-side index, :class:`RowLocator`, that the
-relation caches beside ``full``: ``full``'s rows packed into ``uint64``
-keys under fixed per-column ``(lo, bits)`` (the radix-pack trick
-:func:`~repro.gpu.kernels.lex_rank` uses), so a lookup is one
-``searchsorted``.  The spliced keys become the next ``full``'s index;
-``full``'s rows are re-packed only when a delta value falls outside a
-column's range.  The cache is valid while ``full`` is the very object it
-was built for, so anything that assigns ``full`` (``remove_rows``,
-``set_facts``, ``Database.from_state``) invalidates it.  The keys are an
-index, not relation data: :meth:`StoredRelation.nbytes` does not count
-them, and the modeled device clock never sees them.  Rows that do not
-pack (float columns, rows wider than 63 bits, arity 0) are located by
-sorting ``full`` together with the delta and grouping equal rows, then
-take the same splice.  Row equality treats every NaN in a column as one
-value and ``-0.0`` as ``0.0``, in deduplication and location alike.
+Locating runs against a host-side index that the relation caches beside
+``full``: a :class:`~repro.gpu.hash_table.RowLocator` — the engine's one
+row lookup, which the join index uses too — over ``full``'s rows packed
+into ``uint64`` keys under fixed per-column ``(lo, bits)`` (the
+radix-pack trick :func:`~repro.gpu.kernels.lex_rank` uses), so a lookup
+is one ``searchsorted``.  The spliced keys become the next ``full``'s
+index; ``full``'s rows are re-packed only when a delta value falls
+outside a column's range.  The cache is valid while ``full``'s column
+list is the very object it was built for, so anything that assigns
+``full`` (``remove_rows``, ``set_facts``, ``Database.from_state``)
+invalidates it.  The keys are an index, not relation data:
+:meth:`StoredRelation.nbytes` does not count them, and the modeled device
+clock never sees them.  Rows that do not pack (float columns, rows
+wider than 63 bits, arity 0) are located by sorting ``full`` together
+with the delta and grouping equal rows, then take the same splice.  Row
+equality treats every NaN in a column as one value and ``-0.0`` as
+``0.0``, in deduplication and location alike.
 
 ``advance`` never writes into an array it did not just allocate: a
 ``Table`` handed out earlier by ``snapshot``, ``Database.result`` or
@@ -53,6 +55,7 @@ import numpy as np
 
 from .table import Table
 from ..gpu import kernels
+from ..gpu.hash_table import RowLocator
 from ..provenance.base import Provenance
 
 
@@ -73,149 +76,6 @@ def dedup_table(delta: Table, provenance: Provenance) -> Table:
     firsts = order[is_first]
     tags = provenance.oplus_reduce(delta.tags[order], segment_ids, len(firsts))
     return Table([c[firsts] for c in delta.columns], tags, len(firsts))
-
-
-class RowLocator:
-    """Where rows sit in one (lexicographically sorted) table.
-
-    Lookups are a binary search over the table's rows packed into 64-bit
-    keys (the same radix-pack trick :func:`~repro.gpu.kernels.lex_rank`
-    uses) instead of a fresh O((n+q) log) sort.  ``keys`` is
-    ``(params, packed)`` when the caller already holds the table's packed
-    rows (a :class:`StoredRelation`'s cached index); by default the rows
-    are packed here under parameters fitted to the table.  Tables whose
-    rows cannot pack (floats, >63 bits, arity 0) — ``params`` None — fall
-    back to the concatenate-and-rank path per call.
-    """
-
-    def __init__(
-        self,
-        table: Table,
-        keys: tuple[list[tuple[int, int]] | None, np.ndarray | None] | None = None,
-    ):
-        self._table = table
-        if keys is None:
-            params = kernels.pack_params(table.columns) if table.n_rows else None
-            keys = (params, None if params is None else kernels.pack_keys(table.columns, params))
-        #: (lo, bits) per column, or None when the rows are not packed.
-        self.params: list[tuple[int, int]] | None = keys[0]
-        self.keys: np.ndarray | None = keys[1]
-
-    def locate(
-        self, columns, n_query: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """``(pos, hit, query_keys)`` per query row: how many table rows
-        sort strictly before it, whether it is in the table, and the query
-        rows packed under :attr:`params` (None when unpacked).  On the
-        packed path every query value must lie inside its column's packed
-        range (``kernels.pack_params(columns, self.params) ==
-        self.params``); :meth:`contains` and :meth:`member_mask` filter
-        out-of-range rows first."""
-        table = self._table
-        if table.arity == 0:
-            # Every arity-0 row is the empty tuple: present iff the table
-            # is nonempty, and sorting before nothing.
-            return (
-                np.zeros(n_query, dtype=np.int64),
-                np.full(n_query, table.n_rows > 0, dtype=bool),
-                None,
-            )
-        if self.keys is not None:
-            query = kernels.pack_keys(columns, self.params)
-            pos = np.searchsorted(self.keys, query)
-            if table.n_rows == 0:
-                return pos, np.zeros(n_query, dtype=bool), query
-            return pos, self.keys[np.minimum(pos, table.n_rows - 1)] == query, query
-        origin, order, segment_ids = self._merged_groups(columns, n_query)
-        from_table = origin == 0
-        seg_has_table = np.zeros(int(segment_ids[-1]) + 1, dtype=bool)
-        seg_has_table[segment_ids[from_table]] = True
-        # Table rows sort first in their group, so a query row's group
-        # mate (if any) is among the table rows counted before it.
-        table_before = np.cumsum(from_table)
-        is_query = ~from_table
-        rows = order[is_query] - table.n_rows
-        hit = np.zeros(n_query, dtype=bool)
-        hit[rows] = seg_has_table[segment_ids[is_query]]
-        pos = np.empty(n_query, dtype=np.int64)
-        pos[rows] = table_before[is_query] - hit[rows]
-        return pos, hit, None
-
-    def _in_range(self, columns) -> tuple[list[np.ndarray], np.ndarray | None]:
-        """The query rows a packed lookup can take, and their indices
-        (None: all of them).  A row with a value outside its column's
-        packed range is in no table row."""
-        if self.keys is None:
-            return list(columns), None
-        valid = None
-        for col, (lo, bits) in zip(columns, self.params):
-            col = np.asarray(col)
-            inside = (col >= lo) & (col <= lo + (1 << bits) - 1)
-            valid = inside if valid is None else valid & inside
-        if valid.all():
-            return list(columns), None
-        rows = np.flatnonzero(valid)
-        return [np.asarray(c)[rows] for c in columns], rows
-
-    def _merged_groups(
-        self, columns, n_query: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The unpackable-rows fallback of :meth:`locate`: merge-sort the
-        table's rows with the query rows and group equal rows.  Returns
-        ``(origin, order, segment_ids)`` in sorted position order, where
-        ``origin`` is 0 for table rows and 1 for query rows (the least
-        significant sort key, so table rows lead their group)."""
-        table = self._table
-        combined = [
-            np.concatenate([fc, np.asarray(qc).astype(fc.dtype)])
-            for fc, qc in zip(table.columns, columns)
-        ]
-        origin = np.concatenate(
-            [
-                np.zeros(table.n_rows, dtype=np.int64),
-                np.ones(n_query, dtype=np.int64),
-            ]
-        )
-        order = kernels.lex_rank(combined + [origin])
-        combined = [c[order] for c in combined]
-        is_first = kernels.row_group_boundaries(combined)
-        return origin[order], order, np.cumsum(is_first) - 1
-
-    def contains(self, columns, n_query: int | None = None) -> np.ndarray:
-        """Boolean mask over the *query* rows present in the table (the
-        opposite direction of :meth:`member_mask`).  ``n_query`` must be
-        passed for arity-0 queries (no columns to measure)."""
-        table = self._table
-        if n_query is None:
-            n_query = len(columns[0]) if columns else 0
-        if table.arity and (table.n_rows == 0 or n_query == 0):
-            return np.zeros(n_query, dtype=bool)
-        query, rows = self._in_range(columns)
-        if rows is None:
-            return self.locate(query, n_query)[1]
-        hit = np.zeros(n_query, dtype=bool)
-        hit[rows] = self.locate(query, len(rows))[1]
-        return hit
-
-    def member_mask(self, columns) -> np.ndarray:
-        """Boolean mask over the *table's* rows hit by any query row."""
-        table = self._table
-        mask = np.zeros(table.n_rows, dtype=bool)
-        n_query = len(columns[0]) if columns else 0
-        if table.n_rows == 0:
-            return mask
-        if table.arity == 0:
-            # All arity-0 rows are equal; any query row hits them all.
-            mask[:] = True
-            return mask
-        query, rows = self._in_range(columns)
-        if rows is not None:
-            n_query = len(rows)
-        if n_query == 0:
-            return mask
-        pos, hit, _ = self.locate(query, n_query)
-        mask[pos[hit]] = True
-        return mask
 
 
 class StoredRelation:
@@ -284,8 +144,8 @@ class StoredRelation:
         relation's cached keys, built on first use after ``full`` was
         replaced."""
         index = self._index
-        if index is None or index._table is not self.full:
-            index = self._index = RowLocator(self.full)
+        if index is None or index.columns is not self.full.columns:
+            index = self._index = RowLocator(self.full.columns, self.full.n_rows)
         return index
 
     def remove_rows(self, mask: np.ndarray) -> Table:
@@ -375,7 +235,9 @@ class StoredRelation:
         recent[grew] = True
 
         self.full = Table(columns, tags, n + k)
-        self._index = RowLocator(self.full, (index.params, keys[0] if packed else None))
+        self._index = RowLocator(
+            self.full.columns, n + k, (index.params, keys[0] if packed else None)
+        )
         self.recent_mask = recent
         self.changed_mask = changed
         return int(np.count_nonzero(recent))
@@ -394,7 +256,7 @@ class StoredRelation:
         params = kernels.pack_params(delta.columns, within)
         if params != index.params:
             keys = None if params is None else kernels.pack_keys(self.full.columns, params)
-            index = self._index = RowLocator(self.full, (params, keys))
+            index = self._index = RowLocator(self.full.columns, self.full.n_rows, (params, keys))
         return index
 
     def _dedup(self, delta: Table) -> Table:

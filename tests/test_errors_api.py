@@ -11,6 +11,7 @@ import pytest
 
 import repro
 from repro import errors
+from repro.gpu.hash_table import HashIndex
 
 
 class TestErrorHierarchy:
@@ -175,3 +176,9 @@ class TestPublicApi:
         fields = [field.name for field in dataclasses.fields(repro.OptimizationConfig)]
         assert documented == fields
         assert len(fields) == 2
+
+    def test_join_index_takes_exactly_columns_and_width(self):
+        """The join index has no table-sizing knob: it looks groups up in
+        its sorted keys, and §5.1's load factor only sizes the modeled
+        footprint."""
+        assert list(inspect.signature(HashIndex).parameters) == ["columns", "width"]

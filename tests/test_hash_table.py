@@ -98,8 +98,8 @@ FLOAT_JOIN = (
 )
 
 
-def run_float_join(engine_cls, a, b):
-    engine = engine_cls(FLOAT_JOIN, provenance="unit")
+def run_float_join(engine_cls, a, b, source=FLOAT_JOIN):
+    engine = engine_cls(source, provenance="unit")
     database = engine.create_database()
     database.add_facts("a", [(a,)])
     database.add_facts("b", [(b,)])
@@ -138,3 +138,27 @@ def test_nan_join_and_negation_follow_nan_deduplication(a, b):
     (joined,) = database.result("r").rows()
     assert math.isnan(joined[0])
     assert database.result("s").rows() == []
+
+
+# An int key column joined with a float one: negation's ``a`` is always the
+# build side; ``r`` and ``t`` put each relation on the build side once.
+MIXED_JOIN = (
+    "type a(i64)\n"
+    "type b(f64)\n"
+    "rel s(x) :- b(x), ~a(x).\n"
+    "rel r(x) :- b(x), a(x).\n"
+    "rel t(x) :- a(x), b(x).\n"
+)
+
+
+@pytest.mark.parametrize(
+    "a, b", [(1, 1.5), (2, 2.0), (0, -0.0), (2**53 + 1, 2.0**53), (-(2**63), -(2.0**63))]
+)
+def test_int_and_float_keys_join_by_exact_equality_as_in_scallop(a, b):
+    """``1.5`` is not ``1`` (a probe cast to the build's int type would
+    make it so), ``2.0`` is ``2``, and ``2.0**53`` is not ``2**53 + 1``."""
+    lobster = run_float_join(LobsterEngine, a, b, MIXED_JOIN)
+    scallop = run_float_join(ScallopInterpreter, a, b, MIXED_JOIN)
+    for name in ("s", "r", "t"):
+        assert set(lobster.result(name).rows()) == set(scallop.rows(name)), name
+    assert len(lobster.result("s").rows()) == (a != b)

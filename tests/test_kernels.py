@@ -168,27 +168,6 @@ class TestRepeatRanges:
         assert len(row_ids) == 0 and len(ranks) == 0
 
 
-class TestHashColumns:
-    def test_deterministic(self):
-        cols = [np.array([1, 2, 3]), np.array([4, 5, 6])]
-        a = kernels.hash_columns(cols, 2)
-        b = kernels.hash_columns(cols, 2)
-        assert np.array_equal(a, b)
-
-    def test_width_zero(self):
-        cols = [np.array([1, 2, 3])]
-        assert kernels.hash_columns(cols, 0).tolist() == [0, 0, 0]
-
-    def test_distinguishes_columns(self):
-        a = kernels.hash_columns([np.array([1]), np.array([2])], 2)
-        b = kernels.hash_columns([np.array([2]), np.array([1])], 2)
-        assert a[0] != b[0]
-
-    def test_float_columns_hashable(self):
-        out = kernels.hash_columns([np.array([1.5, 2.5])], 1)
-        assert len(out) == 2 and out[0] != out[1]
-
-
 class TestCompact:
     def test_compact(self):
         mask = np.array([True, False, True])

@@ -7,6 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _helpers import TC_PROGRAM
+
+from repro import LobsterEngine
+from repro.errors import ProvenanceError
 from repro.provenance import available, create
 from repro.provenance.top1proof import PAD, leave_one_out_products
 
@@ -47,6 +51,32 @@ def test_registry_lists_paper_semirings():
 def test_registry_unknown_name():
     with pytest.raises(KeyError, match="unknown provenance"):
         create("nope")
+
+
+PROOF_SIZES = [
+    ("prob-top-1-proofs", "proof_capacity"),
+    ("diff-top-1-proofs", "proof_capacity"),
+    ("top-k-proofs-device", "k"),
+    ("top-k-proofs-device", "proof_capacity"),
+    ("diff-top-k-proofs-device", "k"),
+    ("diff-top-k-proofs-device", "proof_capacity"),
+]
+
+
+@pytest.mark.parametrize("name, parameter", PROOF_SIZES)
+@pytest.mark.parametrize("value", [0, -1, 1.5, True, "4"])
+def test_proof_sizes_must_be_positive_integers(name, parameter, value):
+    """``k`` and ``proof_capacity`` size tag registers: a value the
+    engine would truncate, or one that fails only at run time, is a typed
+    error at construction naming the semiring and the parameter."""
+    with pytest.raises(ProvenanceError, match=f"'{name}': {parameter} must be"):
+        LobsterEngine(TC_PROGRAM, provenance=name, **{parameter: value})
+
+
+@pytest.mark.parametrize("name, parameter", PROOF_SIZES)
+def test_proof_sizes_take_integer_like_values(name, parameter):
+    provenance = create(name, **{parameter: np.int64(2)})
+    assert getattr(provenance, parameter) == 2 and type(getattr(provenance, parameter)) is int
 
 
 @pytest.mark.parametrize("name", DEVICE_SEMIRINGS)

@@ -1,4 +1,5 @@
-"""The value-sort grouping kernels against the argsort bodies they replaced.
+"""The value-sort grouping kernels and the sorted-key join lookup against
+the bodies they replaced.
 
 ``kernels.lex_rank`` and ``kernels.group_rows`` take the stable row order
 from one value sort of ``(packed key ‖ row index)`` composites and read
@@ -10,12 +11,25 @@ the bodies they had before — a stable ``argsort`` of the packed keys (or
 int8/int32/int64/float64 columns, negative values, n of 0, 1 and 2,
 all-equal rows, ±0.0 and NaN, rows wider than 63 bits) must give bitwise
 equal orders, boundaries, deduplicated columns and tags under five
-semirings, and bitwise equal index groups and (for integer keys) slots.
+semirings, and bitwise equal index groups.
+
+``HashIndex`` finds a probe row's group by binary search over its sorted
+distinct keys (``RowLocator.find``).  Its oracles are Python equality of
+the values and the open-addressing index it replaced — ``hash_columns``,
+emulated-CAS insertion and linear-probing rounds — kept verbatim: on
+generated build and probe tables (widths 0–3, empty sides, probe values
+below and above each column's range, duplicate-heavy keys,
+±0.0/NaN/±inf, rows wider than 63 bits, int8/int32/int64 columns, probe
+columns of another dtype than their key column) ``count`` and ``probe``
+must be bitwise equal to the first, and to the second wherever each key
+column is probed with a value of its own kind; ``nbytes`` must equal the
+second's.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -24,6 +38,7 @@ from hypothesis import strategies as st
 
 from repro.gpu import kernels
 from repro.gpu.hash_table import DEFAULT_LOAD_FACTOR, HashIndex
+from repro.gpu.kernels import exclusive_scan, group_rows, repeat_ranges
 from repro.provenance import create
 from repro.runtime.relation import dedup_table
 from repro.runtime.table import Table
@@ -88,10 +103,183 @@ def oracle_dedup_table(delta, provenance):
     return Table(unique_cols, tags, nseg)
 
 
-class OracleHashIndex(HashIndex):
-    """``HashIndex`` with the grouping half of its old ``__init__``."""
+# -- the open-addressing join index, verbatim (hash and probing rounds) --------
 
-    def __init__(self, columns, width, load_factor=DEFAULT_LOAD_FACTOR):
+_EMPTY = np.int64(-1)
+
+
+def hash_columns(columns: Sequence[np.ndarray], width: int) -> np.ndarray:
+    """64-bit mixing hash of the first ``width`` columns of a table.
+
+    Uses a splitmix64-style mix per column, combined multiplicatively —
+    cheap, stateless, and vectorized, like the device hash in the paper's
+    runtime.  Float values hash by their float64 bits after ``-0.0``
+    becomes ``0.0`` and every NaN one NaN, so values that group together
+    (see :func:`row_group_boundaries`) hash alike.
+    """
+    if width == 0:
+        n = len(columns[0]) if columns else 0
+        return np.zeros(n, dtype=np.uint64)
+    acc = np.zeros(len(columns[0]), dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        for k in range(width):
+            col = np.asarray(columns[k])
+            if col.dtype.kind == "f":
+                col = col + np.float64(0.0)  # a float64 copy; -0.0 + 0.0 is 0.0
+                col[np.isnan(col)] = np.nan
+                col = col.view(np.uint64)
+            else:
+                col = col.astype(np.uint64)
+            z = col + np.uint64(0x9E3779B97F4A7C15)
+            z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+            z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+            z = z ^ (z >> np.uint64(31))
+            acc = acc * np.uint64(0x100000001B3) + z
+    return acc
+
+
+class ProbingHashIndex:
+    """The open-addressing ``HashIndex`` that the sorted-key lookup
+    replaced: emulated-CAS insertion rounds and linear-probing rounds."""
+
+    def __init__(
+        self,
+        columns: Sequence[np.ndarray],
+        width: int,
+        load_factor: float = DEFAULT_LOAD_FACTOR,
+    ):
+        self.columns = [np.asarray(c) for c in columns]
+        self.width = width
+        n = len(self.columns[0]) if self.columns else 0
+        self.n_rows = n
+
+        # Group rows by key: sorted row-id array + CSR offsets.
+        if width:
+            order, is_first = group_rows(self.columns[:width])
+            firsts = np.flatnonzero(is_first)
+        else:
+            order = np.arange(n, dtype=np.int64)
+            firsts = np.zeros(min(n, 1), dtype=np.int64)  # width 0: one group
+        self.row_ids = order
+        self.group_offsets = firsts
+        boundaries = np.append(firsts, n)
+        self.group_counts = np.diff(boundaries)
+        #: Representative source row per distinct key.
+        self.representatives = order[firsts] if n else firsts
+
+        n_groups = len(firsts)
+        capacity = max(16, int(max(n_groups, 1) * load_factor))
+        capacity = 1 << (capacity - 1).bit_length()  # power of two -> mask
+        self.capacity = capacity
+        self.slots = np.full(capacity, _EMPTY, dtype=np.int64)
+        if n_groups and width:
+            self._insert_groups()
+
+    # ------------------------------------------------------------------
+
+    @property
+    def nbytes(self) -> int:
+        return (
+            self.slots.nbytes
+            + self.row_ids.nbytes
+            + self.group_offsets.nbytes
+            + self.group_counts.nbytes
+        )
+
+    def _insert_groups(self) -> None:
+        """Insert one slot entry per distinct key (group id), resolving
+        collisions by vectorized linear-probing rounds with emulated CAS."""
+        n_groups = len(self.group_offsets)
+        pending = np.arange(n_groups, dtype=np.int64)
+        rep_rows = self.representatives
+        keys = [c[rep_rows] for c in self.columns[: self.width]]
+        slot = (hash_columns(keys, self.width) % np.uint64(self.capacity)).astype(np.int64)
+        rounds = 0
+        while len(pending):
+            rounds += 1
+            if rounds > self.capacity + 1:
+                raise RuntimeError("hash index build failed to converge")
+            empty = self.slots[slot] == _EMPTY
+            attempt_groups = pending[empty]
+            attempt_slots = slot[empty]
+            # Emulated CAS: scatter, read back, losers retry next slot.
+            self.slots[attempt_slots] = attempt_groups
+            won = self.slots[attempt_slots] == attempt_groups
+            resolved_mask = np.zeros(len(pending), dtype=bool)
+            resolved_mask[np.flatnonzero(empty)[won]] = True
+            pending = pending[~resolved_mask]
+            slot = (slot[~resolved_mask] + 1) % self.capacity
+
+    # ------------------------------------------------------------------
+
+    def _locate_groups(self, probe_columns: Sequence[np.ndarray]) -> np.ndarray:
+        """Group id matched by each probe row (−1 when absent)."""
+        m = len(probe_columns[0]) if probe_columns else 0
+        result = np.full(m, -1, dtype=np.int64)
+        if self.n_rows == 0 or m == 0 or self.width == 0:
+            return result
+        probe_cols = [np.asarray(c) for c in probe_columns]
+        pending = np.arange(m, dtype=np.int64)
+        slot = (hash_columns(probe_cols, self.width) % np.uint64(self.capacity)).astype(np.int64)
+        rounds = 0
+        while len(pending):
+            rounds += 1
+            if rounds > self.capacity + 1:
+                raise RuntimeError("hash probe failed to converge")
+            occupant = self.slots[slot]
+            alive = occupant != _EMPTY
+            if alive.any():
+                live = np.flatnonzero(alive)
+                live_pending = pending[live]
+                groups = occupant[live]
+                rep_rows = self.representatives[groups]
+                equal = np.ones(len(live), dtype=bool)
+                for k in range(self.width):
+                    built, probed = self.columns[k][rep_rows], probe_cols[k][live_pending]
+                    same = built == probed
+                    if built.dtype.kind == "f" or probed.dtype.kind == "f":
+                        same |= np.isnan(built) & np.isnan(probed)  # NaN is one value
+                    equal &= same
+                result[live_pending[equal]] = groups[equal]
+                alive[live[equal]] = False  # resolved: stop probing
+            pending = pending[alive]
+            slot = (slot[alive] + 1) % self.capacity
+        return result
+
+    def count(self, probe_columns: Sequence[np.ndarray]) -> np.ndarray:
+        """APM ``count``: matching build rows per probe row."""
+        groups = self._locate_groups(probe_columns)
+        counts = np.zeros(len(groups), dtype=np.int64)
+        found = groups >= 0
+        counts[found] = self.group_counts[groups[found]]
+        return counts
+
+    def probe(
+        self, probe_columns: Sequence[np.ndarray]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """APM ``join``: full match enumeration.
+
+        Returns ``(probe_row_ids, build_row_ids, counts)``: row
+        ``probe_row_ids[i]`` of the probe table matches row
+        ``build_row_ids[i]`` of the build table on the key prefix.
+        """
+        groups = self._locate_groups(probe_columns)
+        counts = np.zeros(len(groups), dtype=np.int64)
+        found = groups >= 0
+        counts[found] = self.group_counts[groups[found]]
+        offsets = exclusive_scan(counts)
+        probe_ids, ranks = repeat_ranges(counts, offsets)
+        build_ids = np.empty(len(probe_ids), dtype=np.int64)
+        if len(probe_ids):
+            matched_groups = groups[probe_ids]
+            build_ids[:] = self.row_ids[self.group_offsets[matched_groups] + ranks]
+        return probe_ids, build_ids, counts
+
+
+class OracleHashIndex:
+    """The grouping half of the join index's argsort-era ``__init__``."""
+
+    def __init__(self, columns, width):
         self.columns = [np.asarray(c) for c in columns]
         self.width = width
         n = len(self.columns[0]) if self.columns else 0
@@ -115,18 +303,12 @@ class OracleHashIndex(HashIndex):
         #: Representative source row per distinct key.
         self.representatives = order[firsts] if n else firsts
 
-        n_groups = len(firsts)
-        capacity = max(16, int(max(n_groups, 1) * load_factor))
-        capacity = 1 << (capacity - 1).bit_length()  # power of two -> mask
-        self.capacity = capacity
-        self.slots = np.full(capacity, -1, dtype=np.int64)
-        if n_groups and width:
-            self._insert_groups()
-
 
 # -- generated tables ---------------------------------------------------------
 
-I8, I32, I64, F64 = (np.dtype(t) for t in (np.int8, np.int32, np.int64, np.float64))
+I8, I32, I64, F32, F64 = (
+    np.dtype(t) for t in (np.int8, np.int32, np.int64, np.float32, np.float64)
+)
 CELLS = {
     I8: st.integers(-128, 127),
     I32: st.integers(-(2**31), 2**31 - 1) | st.integers(-3, 3),
@@ -237,5 +419,106 @@ def test_index_groups_match_the_argsort_oracle(table, width):
     got, want = HashIndex(columns, width), OracleHashIndex(columns, width)
     for name in ("row_ids", "group_offsets", "group_counts", "representatives"):
         assert bits(getattr(got, name)) == bits(getattr(want, name)), name
-    if all(c.dtype.kind == "i" for c in columns[:width]):
-        assert bits(got.slots) == bits(want.slots)
+
+
+def near_values(column, dtype):
+    """Values of ``dtype`` at or next to ``column``'s: its own values
+    converted (so ``1.5`` probes an integer column as ``1`` and
+    ``2**53 + 1`` a float one as ``2**53``) and, for an integer column,
+    the values just outside its range and the first value past that range
+    rounded up to a power of two (which, packed without a range check,
+    would spill into the next column's bits)."""
+    values = column.tolist()
+    if column.dtype.kind == "i" and len(column):
+        lo, hi = int(column.min()), int(column.max())
+        values += [lo - 1, hi + 1, lo + (1 << max(hi - lo, 1).bit_length())]
+    if dtype.kind == "f":
+        return [float(v) for v in values]
+    info = np.iinfo(dtype)
+    return [int(v) for v in values if math.isfinite(v) and info.min <= int(v) <= info.max]
+
+
+@st.composite
+def index_cases(draw):
+    """``(build columns, width, probe columns)``: a generated table, a key
+    width, and probe columns — each of the build column's dtype or of one
+    drawn independently — holding values near the build's and fresh
+    ones."""
+    dtypes, rows, _ = draw(tables())
+    columns = columns_of(dtypes, rows)
+    width = draw(st.integers(0, len(dtypes)))
+    m = draw(st.sampled_from([0, 1]) | st.integers(0, 30))
+    probe = []
+    for column in columns:
+        dtype = draw(st.sampled_from([column.dtype, I8, I32, I64, F64]))
+        near = near_values(column, dtype)
+        values = st.sampled_from(near) | CELLS[dtype] if near else CELLS[dtype]
+        probe.append(np.array(draw(st.lists(values, min_size=m, max_size=m)), dtype=dtype))
+    return columns, width, probe
+
+
+def index_case(dtypes, build_rows, width, probe_rows, probe_dtypes=None):
+    return columns_of(dtypes, build_rows), width, columns_of(probe_dtypes or dtypes, probe_rows)
+
+
+def python_matches(columns, width, probe):
+    """``(counts, probe_ids, build_ids)`` by Python equality of the values
+    — exact across int and float, with a NaN equal to a NaN — in build row
+    order per probe row; an index without key columns matches nothing."""
+    def same(query, row):
+        return all(x == y or x != x and y != y for x, y in zip(query, row))
+
+    build = list(zip(*(c.tolist() for c in columns[:width])))
+    queries = list(zip(*(c.tolist() for c in probe[:width])))
+    pairs = [(i, j) for i, q in enumerate(queries) for j, r in enumerate(build) if same(q, r)]
+    if not width:
+        pairs = []
+    probe_ids = np.array([i for i, _ in pairs], dtype=np.int64)
+    counts = np.bincount(probe_ids, minlength=len(probe[0]) if probe else 0).astype(np.int64)
+    return counts, probe_ids, np.array([j for _, j in pairs], dtype=np.int64)
+
+
+@given(index_cases())
+@settings(max_examples=400, deadline=None)
+@example(index_case((I64,), [(3,), (5,), (3,)], 1, [(2,), (6,), (3,), (5,), (4,)]))
+@example(index_case((I8,), [(-128,), (127,)], 1, [(-128,), (0,), (127,)]))
+@example(index_case((I32, I8), [(7, -1), (7, 1), (9, 1)], 1, [(6, 0), (7, 5), (10, 1)]))
+# Packed without its range check, the probe (0, 2) is the key of (1, 0).
+@example(index_case((I64, I64), [(0, 0), (1, 0)], 2, [(0, 2), (1, 0), (0, -1)]))
+@example(index_case((I64, I64), [(2**62, 1), (0, -(2**62))], 2, [(2**62, 1), (0, 1)]))
+@example(index_case((I64,), [(-(2**63),), (2**63 - 1,)], 1, [(2**63 - 1,), (0,)]))
+@example(index_case(
+    (F64,), [(0.0,), (math.nan,), (1.5,), (-0.0,), (-math.nan,)], 1,
+    [(-0.0,), (0.0,), (-math.nan,), (math.nan,), (1.5,), (2.0,), (math.inf,)],
+))
+@example(index_case((F64, I32), [(math.inf, 1), (-math.inf, 2)], 2, [(math.inf, 1), (-math.inf, 1)]))
+@example(index_case((I64, I32), [(1, 2), (1, 3)], 0, [(1, 2), (4, 4)]))
+@example(index_case((I64,), [], 1, [(1,), (2,)]))
+@example(index_case((I64,), [(1,), (2,)], 1, []))
+@example(index_case((), [(), ()], 0, [(), ()]))
+# Probes of another dtype match exact equals only: 1.5 is not 1, 2.0 is 2,
+# 2**53 + 1 is not 2.0**53, and inf, NaN and 300.0 fit no int8.
+@example(index_case((I64,), [(1,), (2,)], 1, [(1.5,), (2.0,), (-0.0,)], (F64,)))
+@example(index_case((F64,), [(2.0**53,), (1.5,)], 1, [(2**53 + 1,), (2**53,)], (I64,)))
+@example(index_case((I8, I8), [(44, 0), (0, 0)], 2, [(300.0, 0.0), (math.nan, 0.0), (math.inf, 0)], (F64, F64)))
+@example(index_case((I8,), [(44,), (-1,)], 1, [(300,), (-1,), (2**63 - 1,)], (I64,)))
+@example(index_case((F64, I64), [(0.5, 2**62), (1.0, 3)], 2, [(0.5, 2.0**62), (1, 3.0)], (F64, F64)))
+@example(index_case((F64,), [(math.nan,), (0.5,), (0.1,)], 1, [(math.nan,), (0.5,), (0.1,)], (F32,)))
+def test_index_lookups_match_the_probing_oracle(case):
+    """Bitwise against Python equality of the values, and against the
+    replaced open-addressing index where each key column is probed with a
+    value of its own kind (across kinds the old hash told ``1`` from
+    ``1.0``, so it found an equal value only on a slot collision)."""
+    columns, width, probe = case
+    got = HashIndex(columns, width)
+    want_counts, *want_pairs = python_matches(columns, width, probe)
+    assert bits(got.count(probe)) == bits(want_counts)
+    got_pairs = got.probe(probe)
+    for got_ids, want_ids in zip(got_pairs, [*want_pairs, want_counts]):
+        assert bits(got_ids) == bits(want_ids)
+    oracle = ProbingHashIndex(columns, width)
+    assert got.nbytes == oracle.nbytes
+    if all(p.dtype.kind == c.dtype.kind for p, c in zip(probe[:width], columns)):
+        assert bits(got.count(probe)) == bits(oracle.count(probe))
+        for got_ids, want_ids in zip(got_pairs, oracle.probe(probe)):
+            assert bits(got_ids) == bits(want_ids)
