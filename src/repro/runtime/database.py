@@ -32,16 +32,29 @@ and retractions.
 from __future__ import annotations
 
 from array import array
+from typing import Callable
 
 import numpy as np
 
 from .relation import StoredRelation
-from .table import Table
+from .table import NAN_CELL, Table, row_key
 from ..errors import FactError, ResolutionError
+from ..gpu.hash_table import RowLocator
 from ..provenance.base import Provenance
 
 _INT64_MIN = int(np.iinfo(np.int64).min)
 _INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _matcher(rows) -> Callable[[tuple], bool]:
+    """Membership in ``rows`` under the engine's row equality (a fresh
+    ``float('nan')`` never equals a stored one, so plain tuple keys
+    could never match a NaN fact).  When no row holds a NaN, that is a
+    plain set lookup of the candidate."""
+    keys = {row_key(tuple(row)) for row in rows}
+    if not any(NAN_CELL in key for key in keys):
+        return keys.__contains__
+    return lambda row: row_key(row) in keys
 
 
 def _cell_problem(cells: tuple, kinds: tuple[str, ...] | None) -> str | None:
@@ -317,7 +330,7 @@ class Database:
         if name not in self.schemas:
             raise ResolutionError(f"unknown relation {name!r}")
         self.version += 1
-        row_set = {tuple(row) for row in rows}
+        member = _matcher(rows)
         matched = 0
         # Pending inserts die immediately: add-then-retract in one round
         # means the fact never existed.
@@ -326,7 +339,7 @@ class Database:
             kept = [
                 (row, fid)
                 for row, fid in zip(*pending)
-                if row not in row_set
+                if not member(row)
             ]
             matched += len(pending[0]) - len(kept)
             self._pending[name] = (
@@ -337,15 +350,14 @@ class Database:
         # rebuild); stage the rows that actually match something.
         loaded = self._loaded.get(name)
         if loaded:
-            loaded_hits = sum(1 for row in loaded[0] if row in row_set)
-            if loaded_hits:
-                matched += loaded_hits
-                loaded_set = set(loaded[0])
+            hits = [row for row in loaded[0] if member(row)]
+            if hits:
+                matched += len(hits)
                 staged = self._retractions.setdefault(name, [])
-                staged_set = set(staged)
-                staged.extend(
-                    sorted(row_set & loaded_set - staged_set)
-                )
+                fresh = {row_key(row): row for row in hits}
+                for row in staged:
+                    fresh.pop(row_key(row), None)
+                staged.extend(sorted(fresh.values()))
         return matched
 
     def retraction_seeds(self) -> dict[str, list[tuple]]:
@@ -367,9 +379,9 @@ class Database:
             loaded = self._loaded.get(name)
             if not loaded:
                 continue
-            row_set = set(rows)
+            member = _matcher(rows)
             kept = [
-                (row, fid) for row, fid in zip(*loaded) if row not in row_set
+                (row, fid) for row, fid in zip(*loaded) if not member(row)
             ]
             self._loaded[name] = (
                 [row for row, _ in kept],
@@ -393,22 +405,25 @@ class Database:
         — the re-derive phase's head restriction.
         """
         removed: dict[str, Table] = {}
-        doomed_rows: dict[str, set[tuple]] = {}
         for name, mask in doomed.items():
             if not mask.any():
                 continue
-            rel = self.relations[name]
-            removed[name] = rel.remove_rows(mask)
-            doomed_rows[name] = set(removed[name].rows())
+            removed[name] = self.relations[name].remove_rows(mask)
         self.discard_retractions()
-        for name, rows in doomed_rows.items():
+        for name, table in removed.items():
             loaded = self._loaded.get(name)
             if not loaded or not loaded[0]:
                 continue
+            # The loaded instances as a table (fact ids for tags), found
+            # among the removed rows — which keep ``full``'s sorted order,
+            # so they index as they are.
+            instances = Table.from_rows(loaded[0], self.schemas[name], np.asarray(loaded[1]))
+            doomed_rows = RowLocator(table.columns, table.n_rows)
+            hit = doomed_rows.contains(instances.columns, instances.n_rows).tolist()
             kept: list[tuple[tuple, int]] = []
             restage: list[tuple[tuple, int]] = []
-            for row, fid in zip(*loaded):
-                (restage if row in rows else kept).append((row, fid))
+            for row, fid, doomed_row in zip(*loaded, hit):
+                (restage if doomed_row else kept).append((row, fid))
             if restage:
                 self._loaded[name] = (
                     [row for row, _ in kept],

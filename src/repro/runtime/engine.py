@@ -568,7 +568,7 @@ class LobsterEngine:
 
     def query_probs(self, database: Database, name: str) -> dict[tuple, float]:
         rows, probs = database.result_probs(name)
-        return {row: float(p) for row, p in zip(rows, probs)}
+        return dict(zip(rows, np.asarray(probs, dtype=np.float64).tolist()))
 
     def query_by_sample(self, database: Database, name: str) -> dict[int, dict[tuple, float]]:
         """Disaggregate a batched result into per-sample databases."""

@@ -15,6 +15,18 @@ import numpy as np
 from ..provenance.base import Provenance
 
 
+#: Stands for every NaN cell in a :func:`row_key`.
+NAN_CELL = object()
+
+
+def row_key(row: tuple) -> tuple:
+    """``row`` as a hashable key under the engine's row equality: Python
+    equality, except that every NaN equals every other (as in
+    deduplication), so a row read back from a table finds the row it
+    came from even when it holds a NaN."""
+    return tuple(NAN_CELL if cell != cell else cell for cell in row)
+
+
 @dataclass
 class Table:
     """A columnar table: value columns + provenance tags."""
@@ -60,8 +72,12 @@ class Table:
         return Table([c[indices] for c in self.columns], self.tags[indices], len(indices))
 
     def rows(self) -> list[tuple]:
-        """Materialize rows as Python tuples (for tests and output)."""
-        return [tuple(col[i].item() for col in self.columns) for i in range(self.n_rows)]
+        """Materialize rows as Python tuples, one bulk ``tolist`` per
+        column: ``int`` cells from integer columns, ``float`` cells
+        (``-0.0``, NaN and ±inf kept) from float columns."""
+        if not self.columns:
+            return [()] * self.n_rows
+        return list(zip(*(c.tolist() for c in self.columns)))
 
     def nbytes(self) -> int:
         return sum(c.nbytes for c in self.columns) + self.tags.nbytes

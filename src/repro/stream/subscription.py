@@ -22,6 +22,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable
 
 from ..errors import StaleViewError
+from ..runtime.table import row_key
 
 if TYPE_CHECKING:
     from .view import MaterializedView, RelationState, ViewDelta
@@ -35,19 +36,25 @@ def replay_deltas(
     """Apply a delta sequence over a baseline state: for each relation,
     drop the retracted (row, prob) pairs and add the inserted ones.
     This is the conservation law as an executable definition — replaying
-    a view's full history reconstructs its current state exactly."""
-    state = {relation: dict(rows) for relation, rows in baseline.items()}
+    a view's full history reconstructs its current state exactly.  Rows
+    match under the engine's row equality, so a retracted NaN row leaves
+    too."""
+    state = {
+        relation: {row_key(row): (row, prob) for row, prob in rows.items()}
+        for relation, rows in baseline.items()
+    }
     for delta in deltas:
         for relation, pairs in delta.retracted.items():
             rows = state.setdefault(relation, {})
             for row, prob in pairs:
-                if rows.get(row) == prob:
-                    del rows[row]
+                key = row_key(row)
+                if key in rows and rows[key][1] == prob:
+                    del rows[key]
         for relation, pairs in delta.inserted.items():
             rows = state.setdefault(relation, {})
             for row, prob in pairs:
-                rows[row] = prob
-    return state
+                rows[row_key(row)] = (row, prob)
+    return {relation: dict(rows.values()) for relation, rows in state.items()}
 
 
 class Subscription:

@@ -11,13 +11,33 @@ diffs the new results against the previous ones into a
 :class:`ViewDelta`: the rows (with probabilities) that entered, left, or
 changed.
 
+The view's state is the engine's own arrays.  Per relation it keeps a
+*snapshot*: a :class:`~repro.runtime.table.Table` holding the relation's
+``full`` columns as of the last tick, by reference, with the rows'
+probabilities (``float64``) in place of the tags.  Holding them by
+reference is sound because the stored relation never writes into an
+array it has handed out (``advance``, ``remove_rows`` and ``set_facts``
+allocate fresh ones).  A tick diffs the previous snapshot against the
+new table with the relation's cached
+:class:`~repro.gpu.hash_table.RowLocator` (:func:`snapshot_diff`): one
+``find`` of the old rows, O(|view|) numpy, and Python tuples only for
+the rows that changed.  Rows compare under the engine's row equality
+(NaN equals NaN, ``-0.0`` equals ``0.0``), so a NaN row that stays put
+is not reported as retracted and re-inserted.
+
 View deltas satisfy the conservation law by construction:
 ``state_before ⊎ inserted ∖ retracted == state_after`` per relation (a
 changed row appears as a retract of the old value plus an insert of the
-new), so replaying the retained history from tick 0 over the baseline
-reconstructs the current state exactly — that is what
+new), because each delta is the exact difference of two full states.
+Replaying the retained history from tick 0 over the baseline therefore
+reconstructs the current state — that is what
 :meth:`~repro.stream.subscription.Subscription.replay` does, and what
 the streaming tests verify.
+
+A checkpoint (:meth:`MaterializedView.state_dict`) stores the baseline
+and each retained delta's rows as typed column arrays.  It does not
+store the current state: the database is checkpointed beside the view,
+and :meth:`MaterializedView.restore_state` takes the snapshot from it.
 
 Staleness: the view records the database's mutation counter after every
 apply.  If anything else mutates the database (a direct ``add_facts``,
@@ -33,18 +53,86 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
+import numpy as np
+
 from .subscription import Subscription
 from .window import TickDelta
-from ..errors import CheckpointMismatchError, LobsterError, StaleViewError
+from ..errors import CheckpointMismatchError, LobsterError, ResolutionError, StaleViewError
+from ..runtime.table import Table
 
 if TYPE_CHECKING:  # circular-import guard
+    from ..gpu.hash_table import RowLocator
     from ..runtime.database import Database
     from ..runtime.engine import ExecutionResult, LobsterEngine
 
-__all__ = ["MaterializedView", "ViewDelta"]
+__all__ = ["MaterializedView", "ViewDelta", "snapshot_diff"]
 
 #: row -> probability, one relation's materialized state.
 RelationState = dict[tuple, float]
+
+#: (row, prob) pairs, sorted — one relation's side of a ViewDelta.
+Pairs = list[tuple[tuple, float]]
+
+
+def snapshot_diff(
+    old_columns: list[np.ndarray],
+    old_probs: np.ndarray,
+    locator: "RowLocator",
+    new_probs: np.ndarray,
+) -> tuple[Pairs, Pairs]:
+    """``(retracted, inserted)``: the sorted (row, prob) pairs that turn
+    one snapshot of a relation into the next.
+
+    ``old_columns`` and ``old_probs`` are the previous snapshot's rows
+    and ``float64`` probabilities; ``locator`` indexes the new table and
+    ``new_probs`` are its probabilities.  An old row is *kept* when the
+    new table holds it (under the engine's row equality) with an equal
+    probability.  Every other old row is retracted, and every new row
+    that no kept old row maps to is inserted.  Only those rows become
+    Python tuples."""
+    at = locator.find(old_columns, len(old_probs))
+    kept = at >= 0
+    kept[kept] = new_probs[at[kept]] == old_probs[kept]
+    mapped = np.zeros(locator.n_rows, dtype=bool)
+    mapped[at[kept]] = True
+    return (
+        _pairs(Table(old_columns, old_probs, len(old_probs)), ~kept),
+        _pairs(Table(locator.columns, new_probs, locator.n_rows), ~mapped),
+    )
+
+
+def _pairs(snapshot: Table, mask: np.ndarray) -> Pairs:
+    """The masked rows of a snapshot as sorted (row, prob) pairs."""
+    if not mask.any():
+        return []
+    return sorted(_zipped(snapshot.take(np.flatnonzero(mask))))
+
+
+def _zipped(snapshot: Table):
+    """A snapshot's (row, prob) pairs in table order, rows in bulk."""
+    return zip(snapshot.rows(), snapshot.tags.tolist())
+
+
+def _encode_rows(snapshot: Table) -> dict:
+    """A snapshot's checkpoint form: typed columns, row count, probs."""
+    return {"columns": list(snapshot.columns), "n": snapshot.n_rows, "probs": snapshot.tags}
+
+
+def _decode_rows(state: dict) -> Table:
+    return Table(
+        list(state["columns"]),
+        np.asarray(state["probs"], dtype=np.float64),
+        int(state["n"]),
+    )
+
+
+def _encode_pairs(pairs: Pairs, dtypes: tuple[np.dtype, ...]) -> dict:
+    probs = np.fromiter((prob for _, prob in pairs), dtype=np.float64, count=len(pairs))
+    return _encode_rows(Table.from_rows([row for row, _ in pairs], dtypes, probs))
+
+
+def _decode_pairs(state: dict) -> Pairs:
+    return list(_zipped(_decode_rows(state)))
 
 
 @dataclass
@@ -79,12 +167,17 @@ class ViewDelta:
             len(rows) for rows in self.retracted.values()
         )
 
-    def state_dict(self) -> dict:
-        """Serializable form (checkpointed view history)."""
+    def state_dict(self, schemas: dict[str, tuple[np.dtype, ...]]) -> dict:
+        """Serializable form (checkpointed view history): each side's
+        rows as columns typed by ``schemas`` (relation -> dtypes)."""
         return {
             "tick": self.tick,
-            "inserted": dict(self.inserted),
-            "retracted": dict(self.retracted),
+            "inserted": {
+                rel: _encode_pairs(pairs, schemas[rel]) for rel, pairs in self.inserted.items()
+            },
+            "retracted": {
+                rel: _encode_pairs(pairs, schemas[rel]) for rel, pairs in self.retracted.items()
+            },
             "maintained": self.maintained,
             "fallback": self.fallback,
             "service_seconds": self.service_seconds,
@@ -96,8 +189,8 @@ class ViewDelta:
     def from_state(cls, state: dict) -> "ViewDelta":
         return cls(
             tick=int(state["tick"]),
-            inserted={rel: list(rows) for rel, rows in state["inserted"].items()},
-            retracted={rel: list(rows) for rel, rows in state["retracted"].items()},
+            inserted={rel: _decode_pairs(rows) for rel, rows in state["inserted"].items()},
+            retracted={rel: _decode_pairs(rows) for rel, rows in state["retracted"].items()},
             maintained=bool(state["maintained"]),
             fallback=state["fallback"],
             service_seconds=float(state["service_seconds"]),
@@ -140,6 +233,9 @@ class MaterializedView:
                 "a MaterializedView needs at least one result relation "
                 "(declare `query <rel>` in the program or pass relations=)"
             )
+        unknown = [r for r in relations if r not in self.database.schemas]
+        if unknown:
+            raise ResolutionError(f"unknown relation {unknown[0]!r}")
         self.relations = list(relations)
         self.max_history = max_history
         self.metrics = metrics
@@ -157,13 +253,10 @@ class MaterializedView:
         #: Cursors recovered from a checkpoint/WAL, waiting for their
         #: consumers to :meth:`resubscribe` by name.
         self._recovered_cursors: dict[str, tuple[int, int]] = {}
-        if self.database.evaluated:
-            self._baseline = self._current_state()
-        else:
-            self._baseline = {relation: {} for relation in self.relations}
-        self._state = {
-            relation: dict(rows) for relation, rows in self._baseline.items()
-        }
+        #: Per relation: the snapshot deltas are measured from, and the
+        #: one replay starts from (Tables whose tags are probabilities).
+        self._current = self._capture()
+        self._baseline = self._current
         self._db_version = self.database.version
 
     # ------------------------------------------------------------------
@@ -183,16 +276,16 @@ class MaterializedView:
 
     def result(self, relation: str) -> RelationState:
         """The view's current state for one relation (row -> prob)."""
-        if relation not in self._state:
+        if relation not in self._current:
             raise LobsterError(
                 f"relation {relation!r} is not part of this view; "
                 f"tracked: {self.relations}"
             )
-        return dict(self._state[relation])
+        return dict(_zipped(self._current[relation]))
 
     def baseline(self) -> dict[str, RelationState]:
         """The pre-stream state replay starts from."""
-        return {relation: dict(rows) for relation, rows in self._baseline.items()}
+        return {relation: dict(_zipped(rows)) for relation, rows in self._baseline.items()}
 
     # ------------------------------------------------------------------
 
@@ -212,13 +305,13 @@ class MaterializedView:
 
         Cost note: the maintain pass itself is proportional to the
         delta's blast radius (that is what the latency histograms
-        measure, on the modeled device clock), but the *host-side* diff
-        that produces the :class:`ViewDelta` re-materializes and
-        compares the tracked relations in full — O(|view|) Python work
-        per tick.  That exactness is what makes the conservation law
-        hold by construction; deriving deltas from the engine's changed
-        masks instead would trade that guarantee for per-tick host cost
-        proportional to the change."""
+        measure, on the modeled device clock).  The host-side diff that
+        produces the :class:`ViewDelta` compares the tracked relations
+        in full, but as arrays: one locator ``find`` of the previous
+        snapshot's rows per relation, O(|view|) numpy, and Python work
+        only for the rows that changed (:func:`snapshot_diff`).
+        Diffing two full states is what makes the conservation law hold
+        by construction."""
         if self.database.version != self._db_version:
             raise StaleViewError(
                 f"view {self.name!r}: database was mutated outside the "
@@ -254,7 +347,6 @@ class MaterializedView:
             result = runner(self.database)
         self._db_version = self.database.version
 
-        new_state = self._current_state()
         view_delta = ViewDelta(
             tick=delta.tick,
             maintained=result.maintained,
@@ -263,23 +355,18 @@ class MaterializedView:
             wall_seconds=result.wall_seconds,
             ticks_covered=delta.ticks_covered,
         )
+        current = {}
         for relation in self.relations:
-            old, new = self._state[relation], new_state[relation]
-            retracted = [
-                (row, prob)
-                for row, prob in sorted(old.items())
-                if new.get(row) != prob
-            ]
-            inserted = [
-                (row, prob)
-                for row, prob in sorted(new.items())
-                if old.get(row) != prob
-            ]
+            old = self._current[relation]
+            new = current[relation] = self._snapshot(relation)
+            retracted, inserted = snapshot_diff(
+                old.columns, old.tags, self.database.relation(relation).locator(), new.tags
+            )
             if retracted:
                 view_delta.retracted[relation] = retracted
             if inserted:
                 view_delta.inserted[relation] = inserted
-        self._state = new_state
+        self._current = current
         self._history.append(view_delta)
         if self.max_history is not None:
             while len(self._history) > self.max_history:
@@ -313,10 +400,7 @@ class MaterializedView:
         their next poll instead of resuming mid-stream)."""
         self.engine.run(self.database)
         self._db_version = self.database.version
-        self._baseline = self._current_state()
-        self._state = {
-            relation: dict(rows) for relation, rows in self._baseline.items()
-        }
+        self._current = self._baseline = self._capture()
         self._pruned += len(self._history)
         self._history = []
         self._epoch += 1
@@ -366,11 +450,13 @@ class MaterializedView:
     # Durability (checkpoint snapshot / restore)
 
     def state_dict(self) -> dict:
-        """Serializable view-side state: baseline, current state, the
-        retained delta history, epoch/prune bookkeeping, and the durable
+        """Serializable view-side state: the baseline, the retained delta
+        history (rows as typed column arrays), epoch/prune bookkeeping,
+        the database version the view last observed, and the durable
         cursors of named subscriptions.  The database is *not* included —
         it is checkpointed alongside (one database can back several
-        views)."""
+        views) — and neither is the current state, which
+        :meth:`restore_state` reads back from that database."""
         cursors = dict(self._recovered_cursors)
         for subscription in self._subscribers:
             if subscription.name is not None:
@@ -380,19 +466,20 @@ class MaterializedView:
         return {
             "relations": list(self.relations),
             "max_history": self.max_history,
-            "baseline": {rel: dict(rows) for rel, rows in self._baseline.items()},
-            "state": {rel: dict(rows) for rel, rows in self._state.items()},
-            "history": [delta.state_dict() for delta in self._history],
+            "baseline": {rel: _encode_rows(rows) for rel, rows in self._baseline.items()},
+            "history": [delta.state_dict(self.database.schemas) for delta in self._history],
             "pruned": self._pruned,
+            "db_version": self._db_version,
             "epoch": self._epoch,
             "cursors": cursors,
         }
 
     def restore_state(self, state: dict) -> None:
-        """Load :meth:`state_dict` output into this view (whose database
-        must already hold the matching restored state).  The tracked
-        relation list must agree — a different program checkpointed this
-        state otherwise."""
+        """Load :meth:`state_dict` output into this view, whose database
+        must already hold the matching restored state: the current
+        snapshot is taken from it.  A view that was stale when
+        checkpointed stays stale.  The tracked relation list must agree
+        — a different program checkpointed this state otherwise."""
         if list(state["relations"]) != list(self.relations):
             raise CheckpointMismatchError(
                 f"view state tracks relations {list(state['relations'])!r} "
@@ -401,9 +488,9 @@ class MaterializedView:
             )
         self.max_history = state["max_history"]
         self._baseline = {
-            rel: dict(rows) for rel, rows in state["baseline"].items()
+            rel: _decode_rows(rows) for rel, rows in state["baseline"].items()
         }
-        self._state = {rel: dict(rows) for rel, rows in state["state"].items()}
+        self._current = self._capture()
         self._history = [
             ViewDelta.from_state(delta) for delta in state["history"]
         ]
@@ -413,12 +500,27 @@ class MaterializedView:
             name: (int(cursor), int(epoch))
             for name, (cursor, epoch) in state["cursors"].items()
         }
-        self._db_version = self.database.version
+        self._db_version = int(state["db_version"])
 
     # ------------------------------------------------------------------
 
-    def _current_state(self) -> dict[str, RelationState]:
+    def _snapshot(self, relation: str) -> Table:
+        """``relation``'s ``full`` table, columns by reference, with its
+        probabilities as the tag column."""
+        table = self.database.result(relation)
+        probs = self.database.provenance.prob(table.tags)
+        return Table(table.columns, np.asarray(probs, dtype=np.float64), table.n_rows)
+
+    def _capture(self) -> dict[str, Table]:
+        """Every tracked relation's snapshot; empty ones before the
+        database's first evaluation."""
+        if self.database.evaluated:
+            return {relation: self._snapshot(relation) for relation in self.relations}
         return {
-            relation: self.engine.query_probs(self.database, relation)
+            relation: Table(
+                [np.empty(0, dtype=dt) for dt in self.database.schemas[relation]],
+                np.empty(0, dtype=np.float64),
+                0,
+            )
             for relation in self.relations
         }

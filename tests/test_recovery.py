@@ -475,7 +475,7 @@ class TestMismatches:
                 path.read_bytes(), strict=True
             ).payloads
             header, payload = decode(header_bytes), decode(payload_bytes)
-            assert header["format"] == FORMAT_VERSION == 2
+            assert header["format"] == FORMAT_VERSION == 3
             for relation in payload["streams"]["s"]["database"]["relations"].values():
                 assert "stats" not in relation
                 relation["stats"] = None
@@ -484,6 +484,68 @@ class TestMismatches:
         engine, feed = tc_setup("minmaxprob")
         with pytest.raises(CheckpointMismatchError, match="format 1"):
             recover(root, {"s": (engine, feed)})
+
+
+    def test_format_2_checkpoint_is_refused(self, tmp_path):
+        """Format 2 stored the view's baseline, current state and history
+        as tuple-keyed dicts; such a file must be refused, not read as
+        format-3 arrays."""
+        root = self._checkpointed_dir(tmp_path)
+
+        def as_dict(rows):
+            n, columns = rows["n"], [c.tolist() for c in rows["columns"]]
+            return dict(zip(list(zip(*columns)) if columns else [()] * n, rows["probs"].tolist()))
+
+        for path in sorted(root.glob("ckpt-*.ckpt")):
+            header_bytes, payload_bytes = read_frames(
+                path.read_bytes(), strict=True
+            ).payloads
+            header, payload = decode(header_bytes), decode(payload_bytes)
+            view = payload["streams"]["s"]["view"]
+            view["baseline"] = {rel: as_dict(rows) for rel, rows in view["baseline"].items()}
+            view["state"] = dict(view["baseline"])
+            for delta in view["history"]:
+                for side in ("inserted", "retracted"):
+                    delta[side] = {
+                        rel: sorted(as_dict(rows).items()) for rel, rows in delta[side].items()
+                    }
+            del view["db_version"]
+            header["format"] = 2
+            path.write_bytes(frame(encode(header)) + frame(encode(payload)))
+        engine, feed = tc_setup("minmaxprob")
+        with pytest.raises(CheckpointMismatchError, match="format 2"):
+            recover(root, {"s": (engine, feed)})
+
+
+def test_float_history_round_trips_through_a_checkpoint(tmp_path):
+    """Float rows (``-0.0`` next to ``0.0``, ``inf``) in the view's
+    baseline and history come back from a checkpoint with the same types
+    and values: the checkpoint stores them as typed columns."""
+    source = "type e(f64, i64)\nrel p(x, y) = e(x, y)\nquery p"
+    rows = [(-0.0, 1), (0.0, 2), (1.5, 3), (float("inf"), 4), (-2.5, 5), (0.0, 6)]
+
+    def setup():
+        stream = RelationStream("e", rows, per_tick=2, seed=5, prob_range=(0.5, 0.95))
+        return LobsterEngine(source, provenance="minmaxprob"), SlidingWindow(stream, size=2)
+
+    engine, feed = setup()
+    database = engine.create_database()
+    database.add_facts("e", [(-0.0, 9), (7.25, 9)], probs=[0.5, 0.75])
+    engine.run(database)
+    view = MaterializedView(engine, database=database, name="s")
+    manager = RecoveryManager(tmp_path, checkpoint_every=3)
+    manager.register("s", view, feed)
+    for _ in range(6):
+        manager.apply("s", feed.advance())
+    _, views, info = recover(tmp_path, {"s": setup()}, checkpoint_every=3)
+    assert info.replayed_deltas == 0  # everything came from the checkpoint
+    assert any(
+        repr(row[0]) == "-0.0"
+        for delta in view.history
+        for pairs in (*delta.inserted.values(), *delta.retracted.values())
+        for row, _ in pairs
+    )
+    assert repr(fingerprint(views["s"])) == repr(fingerprint(view))
 
 
 class TestCodec:
