@@ -240,10 +240,13 @@ class ApmInterpreter:
                 table = database.relation(scan).snapshot(I.FULL)
                 keep = np.ones(table.n_rows, dtype=bool)
                 for scan_col, head_col in mapped:
-                    keep &= np.isin(
-                        table.columns[scan_col],
-                        removed_head.columns[head_col],
-                    )
+                    column = table.columns[scan_col]
+                    values = removed_head.columns[head_col]
+                    hit = np.isin(column, values)
+                    if column.dtype.kind == "f" and values.dtype.kind == "f":
+                        # The engine's row equality: NaN equals NaN.
+                        hit |= np.isnan(column) & np.isnan(values).any()
+                    keep &= hit
                 filtered = table.take(np.flatnonzero(keep))
                 # The semijoin is a real kernel: charge its output.
                 self.device.record_kernel(filtered.n_rows)

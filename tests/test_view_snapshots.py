@@ -4,8 +4,8 @@
   database matches instances under the engine's row equality (NaN equals
   NaN, as in deduplication), not Python tuple equality, under which a
   fresh ``float('nan')`` never equals the stored one.  The DRed restage
-  step matches the same way.  Each case is checked against a cold
-  evaluation of the surviving facts.
+  and re-derive steps match the same way.  Each case is checked against
+  a cold evaluation of the surviving facts.
 * A view over a relation holding a NaN row does not report that row on
   ticks that leave it alone; retracting its fact reports it once; and
   replaying the view's history lands on the view's state.
@@ -33,6 +33,9 @@ COPY = "type e(f64)\nrel p(x) = e(x)\nquery p"
 #: ``e`` is both an input and derived from ``f``: retracting ``f(nan)``
 #: dooms ``e(nan)``, whose own input instance must then be restaged.
 RESTAGE = "type e(f64)\ntype f(f64)\nrel e(x) = f(x)\nrel p(x) = e(x)\nquery p"
+#: ``p(nan)`` has two derivations: retracting ``e(nan)`` dooms it, and
+#: the re-derive step must find it again through ``f(nan)``.
+REDERIVE = "type e(f64)\ntype f(f64)\nrel p(x) = e(x) or f(x)\nquery p"
 
 
 def keyed(state: dict) -> dict:
@@ -100,6 +103,17 @@ class TestNaNRetraction:
         assert result.maintained
         assert keyed(engine.query_probs(database, "p")) == keyed(
             cold(RESTAGE, {"e": facts["e"]})
+        )
+
+    def test_doomed_nan_row_with_another_derivation_is_rederived(self):
+        facts = {"e": [((NAN,), 0.5), ((1.0,), 0.6)], "f": [((NAN,), 0.4), ((1.0,), 0.3)]}
+        engine, database = self.database(REDERIVE, facts)
+        engine.run(database)
+        assert database.retract_facts("e", [(float("nan"),), (1.0,)]) == 2
+        result = engine.run(database)
+        assert result.maintained
+        assert keyed(engine.query_probs(database, "p")) == keyed(
+            cold(REDERIVE, {"f": facts["f"]})
         )
 
 
