@@ -260,6 +260,9 @@ class ApmCompiler:
                     programs.append(E.to_bytecode(e, src.dtypes))
             dst = self._pack("prj", dtypes)
             instrs.append(I.EvalProject(dst, src, tuple(programs)))
+            if expr.distinct:
+                src, dst = dst, self._pack("dd", dtypes)
+                instrs.append(I.Dedup(dst, src))
             return dst
 
         if isinstance(expr, ir.Join):

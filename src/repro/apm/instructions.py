@@ -14,6 +14,13 @@ paper's discrete instructions would):
   are never observable by other instructions.
 * :class:`EvalFilter` fuses ``eval`` (producing a selection mask) with the
   ``scan``+``gather`` compaction of the surviving rows.
+* :class:`Dedup` is the ``sort``/``unique⟨⊕⟩`` pair that Appendix A's
+  "Stratum" rule runs at the stratum boundary, placed inside a rule body:
+  after an ``EvalProject`` that drops dead join variables it collapses
+  the intermediate's duplicate rows with ⊕ before the next
+  ``Build``/``Probe``.  The RAM lowering emits it only for semirings
+  whose ⊗ distributes over ⊕ bitwise, where it leaves every result
+  unchanged.
 
 A table at the register level is a *pack*: one register per column plus a
 tag register.  The tag register always exists, so arity-0 relations still
@@ -84,6 +91,15 @@ class EvalFilter:
     dst: Pack
     src: Pack
     program: BytecodeProgram
+
+
+@dataclass(frozen=True)
+class Dedup:
+    """``d <- unique⟨⊕⟩(sort(s))``: one row per distinct source row, its
+    tag the ⊕ of the duplicates'; rows keep their first-occurrence order."""
+
+    dst: Pack
+    src: Pack
 
 
 @dataclass(frozen=True)
@@ -180,6 +196,7 @@ Instruction = (
     | StoreDelta
     | EvalProject
     | EvalFilter
+    | Dedup
     | Build
     | Probe
     | AntiProbe

@@ -38,6 +38,7 @@ from ..obs import NULL_TRACER
 from ..gpu.device import ALLOC_LATENCY_S, VirtualDevice
 from ..gpu.hash_table import HashIndex, RowLocator
 from ..runtime.database import Database
+from ..runtime.relation import dedup_table
 from ..runtime.table import Table
 
 DEFAULT_MAX_ITERATIONS = 100_000
@@ -610,6 +611,18 @@ class ApmInterpreter:
                 for dst, col in zip(instruction.dst.cols, source_cols):
                     put(dst, col[keep])
                 put(instruction.dst.tags, registers[src.tags][keep])
+
+            elif isinstance(instruction, I.Dedup):
+                src = instruction.src
+                tags = registers[src.tags]
+                table = dedup_table(
+                    Table([registers[c] for c in src.cols], tags, len(tags)),
+                    provenance,
+                    keep_order=True,
+                )
+                for dst, col in zip(instruction.dst.cols, table.columns):
+                    put(dst, col)
+                put(instruction.dst.tags, table.tags)
 
             elif isinstance(instruction, I.Build):
                 index = None

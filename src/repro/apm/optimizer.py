@@ -93,7 +93,7 @@ def _eliminate_dead(instructions: list[I.Instruction]) -> list[I.Instruction]:
 def _reads(instruction: I.Instruction) -> set[str]:
     if isinstance(instruction, I.StoreDelta):
         return set(instruction.src.cols) | {instruction.src.tags}
-    if isinstance(instruction, (I.EvalProject, I.EvalFilter)):
+    if isinstance(instruction, (I.EvalProject, I.EvalFilter, I.Dedup)):
         return set(instruction.src.cols) | {instruction.src.tags}
     if isinstance(instruction, I.Build):
         return set(instruction.src.cols[: instruction.width])
@@ -123,7 +123,7 @@ def _reads(instruction: I.Instruction) -> set[str]:
 def _writes(instruction: I.Instruction) -> set[str]:
     if isinstance(instruction, I.Load):
         return set(instruction.dst.cols) | {instruction.dst.tags}
-    if isinstance(instruction, (I.EvalProject, I.EvalFilter, I.PassIfEmpty)):
+    if isinstance(instruction, (I.EvalProject, I.EvalFilter, I.Dedup, I.PassIfEmpty)):
         return set(instruction.dst.cols) | {instruction.dst.tags}
     if isinstance(instruction, I.Build):
         return {instruction.dst}

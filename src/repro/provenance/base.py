@@ -38,6 +38,16 @@ class Provenance(ABC):
     #: non-idempotent semirings (e.g. add-mult-prob's sum) fall back to a
     #: from-scratch rerun instead.
     idempotent_oplus: bool = False
+    #: Whether ⊗ distributes over ⊕ *bitwise* on the tag representation:
+    #: ``oplus_reduce`` over a segment followed by ``otimes`` with one tag
+    #: equals ``otimes`` per member followed by ``oplus_reduce``, bit for
+    #: bit.  The RAM lowering then projects join variables no later
+    #: literal reads out of a rule body's intermediate and ⊕-deduplicates
+    #: it before the next join (early aggregation).  Semirings whose ⊕
+    #: picks a witness by position (diff-minmaxprob's earliest-row tie
+    #: break) or whose ⊗ can merge two proofs into one (the proof
+    #: semirings) stay ``False``.
+    distributive: bool = False
 
     def __init__(self) -> None:
         self.n_inputs = 0

@@ -21,6 +21,7 @@ class MinMaxProbProvenance(Provenance):
 
     name = "minmaxprob"
     idempotent_oplus = True  # ⊕ = max
+    distributive = True  # min(max(a, b), c) = max(min(a, c), min(b, c))
 
     def tag_dtype(self) -> np.dtype:
         return _DTYPE

@@ -55,6 +55,13 @@ def create(name: str, **kwargs) -> Provenance:
         raise  # a TypeError from inside the constructor, not its signature
 
 
+def is_distributive(name: str) -> bool:
+    """Whether the semiring registered as ``name`` declares
+    :attr:`~repro.provenance.base.Provenance.distributive` (False for a
+    name nobody registered) — read off the factory, never instantiated."""
+    return bool(getattr(_REGISTRY.get(name), "distributive", False))
+
+
 def available() -> list[str]:
     return sorted(_REGISTRY)
 

@@ -19,6 +19,7 @@ class UnitProvenance(Provenance):
 
     name = "unit"
     idempotent_oplus = True
+    distributive = True
 
     def tag_dtype(self) -> np.dtype:
         return _DTYPE

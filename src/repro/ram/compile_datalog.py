@@ -3,10 +3,16 @@
 Each rule body becomes a left-deep tree of joins over its positive atoms
 (ordered by the planner), with selections applied as soon as their
 variables are bound, anti-joins for negated atoms, and a final projection
-computing the head terms.  This mirrors the mid-level representation the
-paper assumes as input ("we assume an existing Datalog compiler is capable
-of converting a user-level program to a mid-level program based on
-relational algebra", §3).
+computing the head terms.  Under a semiring whose ⊗ distributes over ⊕
+(:attr:`~repro.provenance.base.Provenance.distributive`), every join but
+the last is followed by a *distinct* projection onto the variables a
+later atom, comparison, negated atom or head term still reads: the dead
+join variables go, and the intermediate is ⊕-deduplicated before the
+next join instead of being expanded by it (early aggregation).  This
+mirrors the mid-level representation the paper assumes as input ("we
+assume an existing Datalog compiler is capable of converting a
+user-level program to a mid-level program based on relational algebra",
+§3).
 
 Atom order comes from the syntactic heuristic
 (:func:`repro.ram.planner.order_atoms`), so the lowering is a pure
@@ -34,14 +40,16 @@ from .ir import (
 )
 
 
-def compile_program(resolved: ResolvedProgram) -> RamProgram:
-    """Lower a resolved Datalog program to RAM."""
+def compile_program(resolved: ResolvedProgram, distributive: bool = False) -> RamProgram:
+    """Lower a resolved Datalog program to RAM.  ``distributive`` enables
+    the early distinct projections (the semiring's ⊗ distributes over ⊕
+    bitwise); without it the lowering is the plain one."""
     strata: list[RamStratum] = []
     for stratum in resolved.strata:
         pred_set = set(stratum.predicates)
         ram_rules: list[RamRule] = []
         for rule in stratum.rules:
-            expr = compile_rule(rule, resolved)
+            expr = compile_rule(rule, resolved, distributive)
             scans = scans_of(expr)
             recursive_atoms = tuple(
                 index for index, scan in enumerate(scans) if scan.predicate in pred_set
@@ -51,7 +59,7 @@ def compile_program(resolved: ResolvedProgram) -> RamProgram:
     return RamProgram(strata, dict(resolved.schemas), list(resolved.queries))
 
 
-def compile_rule(rule: ResolvedRule, resolved: ResolvedProgram):
+def compile_rule(rule: ResolvedRule, resolved: ResolvedProgram, distributive: bool = False):
     if not rule.positives:
         raise CompileError(
             f"rule for {rule.head!r} has no positive body atoms; "
@@ -63,10 +71,14 @@ def compile_rule(rule: ResolvedRule, resolved: ResolvedProgram):
     applied: set[int] = set()
     current, layout = _apply_ready_comparisons(current, layout, rule.comparisons, applied)
 
-    for atom in ordered[1:]:
-        side, side_layout = _compile_atom(atom, resolved)
+    for position in range(1, len(ordered)):
+        side, side_layout = _compile_atom(ordered[position], resolved)
         current, layout = _join(current, layout, side, side_layout)
         current, layout = _apply_ready_comparisons(current, layout, rule.comparisons, applied)
+        if distributive and position + 1 < len(ordered):
+            current, layout = _project_live(
+                current, layout, rule, ordered[position + 1 :], applied
+            )
 
     if len(applied) != len(rule.comparisons):
         raise CompileError(f"rule for {rule.head!r} has unapplicable comparisons")
@@ -132,6 +144,27 @@ def _join(left, left_layout: list[str], right, right_layout: list[str]):
     right_rest = [name for name in right_layout if name not in shared]
     joined = Join(left, right, len(shared))
     return joined, shared + left_rest + right_rest
+
+
+def _project_live(current, layout: list[str], rule: ResolvedRule, later, applied: set[int]):
+    """Drop the variables nothing after this join reads, as a distinct
+    projection (the intermediate is ⊕-deduplicated).  The next atom's
+    shared variables lead, so the next join needs no permutation."""
+    later_vars = [planner.atom_vars(atom) for atom in later]
+    live = set().union(*later_vars)
+    for index, comparison in enumerate(rule.comparisons):
+        if index not in applied:
+            live |= planner.term_vars(comparison.lhs) | planner.term_vars(comparison.rhs)
+    for negated in rule.negatives:
+        live |= planner.atom_vars(negated)
+    for term in rule.head_terms:
+        live |= planner.term_vars(term)
+    if live.issuperset(layout):
+        return current, layout
+    kept = [name for name in layout if name in later_vars[0]]
+    kept += [name for name in layout if name in live and name not in kept]
+    exprs = tuple(E.Col(layout.index(name)) for name in kept)
+    return Project(current, exprs, distinct=True), kept
 
 
 def _antijoin(current, layout: list[str], atom: ast.Atom, resolved: ResolvedProgram):

@@ -31,8 +31,12 @@ class Scan:
 
 @dataclass(frozen=True)
 class Project:
+    """π.  ``distinct`` also ⊕-deduplicates the projected rows (the
+    early-aggregation projection inside a rule body)."""
+
     source: "RamExpr"
     exprs: tuple[Expr, ...]
+    distinct: bool = False
 
 
 @dataclass(frozen=True)
@@ -220,7 +224,7 @@ def replace_scan_partition(expr: RamExpr, scan_index: int, partition: str) -> Ra
                 return Scan(node.predicate, partition)
             return node
         if isinstance(node, Project):
-            return Project(rewrite(node.source), node.exprs)
+            return Project(rewrite(node.source), node.exprs, node.distinct)
         if isinstance(node, Select):
             return Select(rewrite(node.source), node.predicate)
         if isinstance(node, Join):

@@ -38,6 +38,7 @@ from ..apm.optimizer import optimize
 from ..datalog.parser import parse
 from ..datalog.resolver import ResolvedProgram, _resolve_fact_blocks, resolve
 from ..interning import SymbolTable
+from ..provenance import registry
 from ..ram.compile_datalog import compile_program
 from ..ram.ir import RamProgram
 from .batching import batch_transform
@@ -145,7 +146,7 @@ def compile_source(
         resolved = resolve(ast_program, symbols)
     else:
         resolved = resolve(ast_program)
-    ram = compile_program(resolved)
+    ram = compile_program(resolved, registry.is_distributive(provenance_name))
     apm = compile_ram(ram)
     if optimizations.apm_passes:
         apm = optimize(apm)

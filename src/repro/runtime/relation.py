@@ -59,12 +59,19 @@ from ..gpu.hash_table import RowLocator
 from ..provenance.base import Provenance
 
 
-def dedup_table(delta: Table, provenance: Provenance) -> Table:
+def dedup_table(delta: Table, provenance: Provenance, keep_order: bool = False) -> Table:
     """Sort + unique⟨⊕⟩ a delta table (the APM ``sort``/``unique⟨⊕⟩``
     sequence) — the step :meth:`StoredRelation.advance` runs on every
-    delta before merging it.  The groups come from
+    delta before merging it, and the APM ``Dedup`` instruction runs
+    inside rule bodies.  The groups come from
     :func:`~repro.gpu.kernels.group_rows`, so columns are gathered only
-    at each group's first row, never through the whole permutation."""
+    at each group's first row, never through the whole permutation.
+
+    Each group keeps its first row's values.  The groups come out in
+    sorted order, or with ``keep_order`` in the order of their first
+    rows: a join over the deduplicated table then meets each group where
+    the undeduplicated one met its first row, so rows equal only up to
+    ``-0.0``/NaN keep the representative they had without the dedup."""
     if delta.arity == 0:
         if delta.n_rows == 0:
             return delta
@@ -75,6 +82,9 @@ def dedup_table(delta: Table, provenance: Provenance) -> Table:
     segment_ids = np.cumsum(is_first) - 1
     firsts = order[is_first]
     tags = provenance.oplus_reduce(delta.tags[order], segment_ids, len(firsts))
+    if keep_order:
+        by_position = np.argsort(firsts)
+        firsts, tags = firsts[by_position], tags[by_position]
     return Table([c[firsts] for c in delta.columns], tags, len(firsts))
 
 

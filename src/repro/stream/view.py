@@ -490,7 +490,10 @@ class MaterializedView:
         self._baseline = {
             rel: _decode_rows(rows) for rel, rows in state["baseline"].items()
         }
-        self._current = self._capture()
+        if self.database.version != self._db_version:
+            # ``_current`` is the snapshot at ``_db_version``: only a
+            # database changed since then needs capturing again.
+            self._current = self._capture()
         self._history = [
             ViewDelta.from_state(delta) for delta in state["history"]
         ]

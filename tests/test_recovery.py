@@ -693,3 +693,28 @@ class TestSchedulerDurability:
         assert not info.cold_start
         assert views["tc"].ticks_applied == 5
         assert views["tc"].result("path") == view.result("path")
+
+
+def test_recover_captures_the_view_snapshot_once(tmp_path, monkeypatch):
+    """The restored view's constructor snapshots the restored database;
+    ``restore_state`` reads the same, unchanged database and keeps that
+    snapshot, so each tracked relation's probabilities are computed once."""
+    from repro.provenance.minmaxprob import MinMaxProbProvenance
+
+    engine, feed = tc_setup("minmaxprob")
+    view = MaterializedView(engine, name="s")
+    manager = RecoveryManager(tmp_path, checkpoint_every=2)
+    manager.register("s", view, feed)
+    for _ in range(4):
+        manager.apply("s", feed.advance())
+
+    calls = []
+    prob = MinMaxProbProvenance.prob
+    monkeypatch.setattr(
+        MinMaxProbProvenance, "prob", lambda self, tags: calls.append(1) or prob(self, tags)
+    )
+    engine2, feed2 = tc_setup("minmaxprob")
+    _, views, info = recover(tmp_path, {"s": (engine2, feed2)})
+    assert info.checkpoint_seq is not None and info.replayed_deltas == 0
+    assert len(calls) == len(views["s"].relations)
+    assert fingerprint(views["s"]) == run_uninterrupted(lambda: tc_setup("minmaxprob"), 4)
