@@ -261,8 +261,9 @@ class ApmCompiler:
             dst = self._pack("prj", dtypes)
             instrs.append(I.EvalProject(dst, src, tuple(programs)))
             if expr.distinct:
-                src, dst = dst, self._pack("dd", dtypes)
-                instrs.append(I.Dedup(dst, src))
+                unique = self._pack("dd", dtypes)
+                instrs.append(I.Dedup(unique, dst))
+                return unique
             return dst
 
         if isinstance(expr, ir.Join):
