@@ -251,7 +251,7 @@ NAN, NEG0 = math.nan, -0.0
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(case=rule_programs())
-# z dies after the second join; -0.0 and 0.0 meet in one deduplicated group.
+# z dies after the first join; -0.0 and 0.0 meet in one deduplicated group.
 @example(case=(
     F2 + "rel r(x, y) :- e0(z, x), e1(z, w), e0(w, y).\n",
     {"e0": ([(0.0, 1.0), (NEG0, 2.0), (1.0, 1.0), (2.0, NEG0)], [0.5, 1.0, 0.25, 0.5]),
