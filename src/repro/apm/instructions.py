@@ -96,7 +96,9 @@ class EvalFilter:
 @dataclass(frozen=True)
 class Dedup:
     """``d <- unique⟨⊕⟩(sort(s))``: one row per distinct source row, its
-    tag the ⊕ of the duplicates'; rows keep their first-occurrence order."""
+    tag the ⊕ of the duplicates'; rows keep their first-occurrence order.
+    Only rows identical bit for bit are duplicates: ``-0.0`` and ``0.0``
+    stay apart, since a later ``/`` in the rule can tell them apart."""
 
     dst: Pack
     src: Pack

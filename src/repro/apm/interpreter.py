@@ -613,15 +613,17 @@ class ApmInterpreter:
                 put(instruction.dst.tags, registers[src.tags][keep])
 
             elif isinstance(instruction, I.Dedup):
+                # Float columns group by their bits (see ``I.Dedup``).
                 src = instruction.src
                 tags = registers[src.tags]
-                table = dedup_table(
-                    Table([registers[c] for c in src.cols], tags, len(tags)),
-                    provenance,
-                    keep_order=True,
-                )
-                for dst, col in zip(instruction.dst.cols, table.columns):
-                    put(dst, col)
+                columns = [registers[c] for c in src.cols]
+                bits = [
+                    c.view(f"i{c.dtype.itemsize}") if c.dtype.kind == "f" else c
+                    for c in columns
+                ]
+                table = dedup_table(Table(bits, tags, len(tags)), provenance, keep_order=True)
+                for dst, col, column in zip(instruction.dst.cols, table.columns, columns):
+                    put(dst, col.view(column.dtype))
                 put(instruction.dst.tags, table.tags)
 
             elif isinstance(instruction, I.Build):

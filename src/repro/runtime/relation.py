@@ -70,8 +70,8 @@ def dedup_table(delta: Table, provenance: Provenance, keep_order: bool = False) 
     Each group keeps its first row's values.  The groups come out in
     sorted order, or with ``keep_order`` in the order of their first
     rows: a join over the deduplicated table then meets each group where
-    the undeduplicated one met its first row, so rows equal only up to
-    ``-0.0``/NaN keep the representative they had without the dedup."""
+    the undeduplicated one met its first row, so head rows equal only up
+    to ``-0.0``/NaN keep the representative they had without the dedup."""
     if delta.arity == 0:
         if delta.n_rows == 0:
             return delta
