@@ -37,7 +37,7 @@ the streaming tests verify.
 A checkpoint (:meth:`MaterializedView.state_dict`) stores the baseline
 and each retained delta's rows as typed column arrays.  It does not
 store the current state: the database is checkpointed beside the view,
-and :meth:`MaterializedView.restore_state` takes the snapshot from it.
+and the view constructed on the restored database snapshots it.
 
 Staleness: the view records the database's mutation counter after every
 apply.  If anything else mutates the database (a direct ``add_facts``,
@@ -455,8 +455,8 @@ class MaterializedView:
         the database version the view last observed, and the durable
         cursors of named subscriptions.  The database is *not* included —
         it is checkpointed alongside (one database can back several
-        views) — and neither is the current state, which
-        :meth:`restore_state` reads back from that database."""
+        views) — and neither is the current state, which the view
+        constructed on the restored database snapshots from it."""
         cursors = dict(self._recovered_cursors)
         for subscription in self._subscribers:
             if subscription.name is not None:
@@ -475,9 +475,10 @@ class MaterializedView:
         }
 
     def restore_state(self, state: dict) -> None:
-        """Load :meth:`state_dict` output into this view, whose database
-        must already hold the matching restored state: the current
-        snapshot is taken from it.  A view that was stale when
+        """Load :meth:`state_dict` output into this view, which must have
+        been constructed on the database holding the matching restored
+        state and have applied nothing since: its constructor's snapshot
+        is kept as the current one.  A view that was stale when
         checkpointed stays stale.  The tracked relation list must agree
         — a different program checkpointed this state otherwise."""
         if list(state["relations"]) != list(self.relations):
@@ -490,10 +491,6 @@ class MaterializedView:
         self._baseline = {
             rel: _decode_rows(rows) for rel, rows in state["baseline"].items()
         }
-        if self.database.version != self._db_version:
-            # ``_current`` is the snapshot at ``_db_version``: only a
-            # database changed since then needs capturing again.
-            self._current = self._capture()
         self._history = [
             ViewDelta.from_state(delta) for delta in state["history"]
         ]
