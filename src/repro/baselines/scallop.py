@@ -79,6 +79,10 @@ class ScallopDatabase:
                 store[row] = self.provenance.scalar_oplus(store[row], tag)
             else:
                 store[row] = tag
+        # A fact tagged with the absorbing zero is absent, as in the engine.
+        for store in self.facts.values():
+            for row in [row for row, tag in store.items() if self.provenance.scalar_is_zero(tag)]:
+                del store[row]
         self._finalized = True
 
     def rows(self, name: str) -> dict[tuple, object]:

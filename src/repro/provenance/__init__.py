@@ -1,9 +1,8 @@
 """Provenance semiring framework.
 
 The paper's seven device semirings (unit, minmaxprob, addmultprob,
-prob-top-1-proofs, and the three differentiable variants), the CPU-only
-general top-k-proofs used by the Scallop baseline, and this repo's §3.5
-extension: vectorized top-k-proofs on the device.
+prob-top-1-proofs, and the three differentiable variants) and the
+CPU-only general top-k-proofs used by the Scallop baseline.
 """
 
 from .addmultprob import AddMultProbProvenance
@@ -14,7 +13,6 @@ from .diff_top1proof import DiffTop1ProofProvenance
 from .minmaxprob import MinMaxProbProvenance
 from .registry import available, create, register
 from .top1proof import Top1ProofProvenance
-from .topk_device import DiffTopKProofsDeviceProvenance, TopKProofsDeviceProvenance
 from .topkproofs import TopKProofsProvenance
 from .unit import UnitProvenance
 
@@ -23,12 +21,10 @@ __all__ = [
     "DiffAddMultProbProvenance",
     "DiffMinMaxProbProvenance",
     "DiffTop1ProofProvenance",
-    "DiffTopKProofsDeviceProvenance",
     "MinMaxProbProvenance",
     "Provenance",
     "SATURATION_EPS",
     "Top1ProofProvenance",
-    "TopKProofsDeviceProvenance",
     "TopKProofsProvenance",
     "UnitProvenance",
     "available",

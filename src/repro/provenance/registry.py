@@ -3,7 +3,7 @@
 Lobster supports a library of semirings so users pick a reasoning mode by
 name — e.g. ``provenance="diff-top-1-proofs"`` — without touching the
 program.  The seven device semirings of the paper plus the CPU-only
-general top-k are registered here.
+general top-k of the Scallop baseline are registered here.
 """
 
 from __future__ import annotations
@@ -74,9 +74,3 @@ register("diff-minmaxprob", DiffMinMaxProbProvenance)
 register("diff-addmultprob", DiffAddMultProbProvenance)
 register("diff-top-1-proofs", DiffTop1ProofProvenance)
 register("top-k-proofs", TopKProofsProvenance)
-
-# §3.5 extension: vectorized top-k on the device (see topk_device.py).
-from .topk_device import DiffTopKProofsDeviceProvenance, TopKProofsDeviceProvenance
-
-register("top-k-proofs-device", TopKProofsDeviceProvenance)
-register("diff-top-k-proofs-device", DiffTopKProofsDeviceProvenance)

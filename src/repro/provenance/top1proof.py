@@ -107,7 +107,7 @@ class Top1ProofProvenance(Provenance):
         :func:`live_proofs`; ``dead_in`` marks rows already absorbed to 0.
         Returns ``(merged, sizes, probs)`` with dead rows zeroed and
         ``merged`` cut to the result's own live width (≤ capacity) — the
-        shared kernel behind top-1 and device top-k conjunction.
+        kernel behind top-1 conjunction.
         """
         merged = np.concatenate([proofs_a, proofs_b], axis=1)
         merged.sort(axis=1)

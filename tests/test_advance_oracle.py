@@ -38,7 +38,6 @@ SEMIRINGS = {
     "minmaxprob": {},
     "addmultprob": {},
     "diff-top-1-proofs": {"proof_capacity": 3},
-    "top-k-proofs-device": {"k": 2, "proof_capacity": 3},
 }
 # Input facts: 0.0 makes absorbing-zero tags under the prob semirings, and
 # the exclusion groups make dead proofs under the proof semirings.  The
@@ -273,7 +272,7 @@ def restored(relation: StoredRelation, cls) -> StoredRelation:
     ])
 )
 @example(
-    ("top-k-proofs-device", (FLOAT, INT), [
+    ("diff-top-1-proofs", (FLOAT, INT), [
         ("set", [(-0.0, 1, (0, 1)), (0.0, 1, (3, None)), (2.5, -1, (5, 0))]),
         ("restore", None),
         ("advance", [(0.0, 1, (4, None)), (-math.inf, 0, (1, None))]),

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import LobsterEngine
 from repro.baselines import (
     ExactProofsProvenance,
     FVLogEngine,
@@ -28,6 +29,26 @@ class TestScallopInterpreter:
         db.add_facts("bad", [(2,)])
         engine.run(db)
         assert set(db.rows("ok")) == {(1,)}
+
+    def test_zero_probability_fact_is_absent_under_negation(self):
+        """A fact whose tag is the absorbing zero is not stored, by either
+        engine, so a negated atom over it holds."""
+        source = (
+            "type e1(i64)\ntype e2(i64)\n"
+            "rel r(a + 1) :- e1(a), e1(a), e1(b), ~e2(a).\n"
+        )
+        scallop = ScallopInterpreter(source, provenance="minmaxprob")
+        engine = LobsterEngine(source, provenance="minmaxprob")
+        databases = []
+        for runner in (scallop, engine):
+            db = runner.create_database()
+            db.add_facts("e1", [(0,)], probs=[0.25])
+            db.add_facts("e2", [(0,)], probs=[0.0])
+            runner.run(db)
+            databases.append(db)
+        scallop_db, engine_db = databases
+        assert scallop_db.prob("r", (1,)) == 0.25
+        assert engine.query_probs(engine_db, "r") == {(1,): 0.25}
 
     def test_comparisons_and_arithmetic(self):
         engine = ScallopInterpreter(

@@ -104,16 +104,3 @@ class TestDiffMinMaxEndToEnd:
         assert np.allclose(analytic, [0.0, 1.0])
         assert np.allclose(analytic, numeric, atol=1e-4)
 
-
-class TestDiffTopKEndToEnd:
-    def test_inclusion_exclusion_gradient(self):
-        engine = LobsterEngine(
-            TC, provenance="diff-top-k-proofs-device", k=2, proof_capacity=16
-        )
-        edges = [(0, 1), (1, 3), (0, 2), (2, 3)]
-        probs = [0.9, 0.8, 0.5, 0.6]
-        analytic = engine_gradient(engine, edges, probs, (0, 3))
-        numeric = numeric_gradient(engine, edges, probs, (0, 3))
-        assert np.allclose(analytic, numeric, atol=1e-4)
-        # Unlike top-1, the second route now carries gradient too.
-        assert analytic[2] > 0.0 and analytic[3] > 0.0

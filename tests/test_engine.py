@@ -270,8 +270,8 @@ class TestConstructorErrorsAreTyped:
     def test_unknown_semiring_keyword_names_the_accepted_ones(self):
         from repro.errors import ProvenanceError
 
-        with pytest.raises(ProvenanceError, match="it accepts: k, proof_capacity"):
-            LobsterEngine(self.SOURCE, provenance="top-k-proofs-device", kk=3)
+        with pytest.raises(ProvenanceError, match="it accepts: proof_capacity"):
+            LobsterEngine(self.SOURCE, provenance="prob-top-1-proofs", kk=3)
 
     def test_keywords_with_a_provenance_instance(self):
         from repro.errors import ProvenanceError

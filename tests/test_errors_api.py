@@ -99,7 +99,7 @@ class TestPublicApi:
         assert repro.LobsterEngine is not None
         assert repro.VirtualDevice is not None
 
-    @pytest.mark.parametrize("provenance", ["unit", "top-k-proofs-device"])
+    @pytest.mark.parametrize("provenance", ["unit", "prob-top-1-proofs"])
     @pytest.mark.parametrize("knob", [{"jit": True}, {"jit": None, "hot_runs": 1}])
     def test_removed_jit_knob_is_a_typed_error(self, provenance, knob):
         """The trace-JIT is gone: its keywords fall into the semiring's

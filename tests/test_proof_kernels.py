@@ -190,15 +190,7 @@ def test_oplus_of_singleton_segments_is_identity(name, pairs, cuts):
     assert again.tobytes() == reduced.tobytes()
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        "prob-top-1-proofs",
-        "diff-top-1-proofs",
-        "top-k-proofs-device",
-        "diff-top-k-proofs-device",
-    ],
-)
+@pytest.mark.parametrize("name", ["prob-top-1-proofs", "diff-top-1-proofs"])
 def test_runs_without_probabilistic_facts(name):
     """No tagged fact ⇒ ``n_inputs == 0``: the proof kernels used to index
     the empty ``input_probs``/``exclusion_groups`` arrays and crash."""

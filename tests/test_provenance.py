@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,11 +43,31 @@ def test_registry_lists_paper_semirings():
     names = available()
     # The paper's seven device semirings...
     assert set(DEVICE_SEMIRINGS) <= set(names)
-    # ...the CPU-only general top-k of the Scallop baseline...
+    # ...and the CPU-only general top-k of the Scallop baseline.
     assert "top-k-proofs" in names
-    # ...and the §3.5 extension implemented by this repo.
-    assert "top-k-proofs-device" in names
-    assert "diff-top-k-proofs-device" in names
+
+
+def test_architecture_doc_lists_the_registered_semirings():
+    """docs/architecture.md's semiring table has exactly the registry's
+    names, each with where it runs and whether it differentiates."""
+    text = (Path(__file__).parent.parent / "docs" / "architecture.md").read_text()
+    section = text.split("### Registered semirings", 1)[1].split("\n#", 1)[0]
+    rows = [
+        [cell.strip().strip("`") for cell in line.strip().strip("|").split("|")]
+        for line in section.splitlines()
+        if line.lstrip().startswith("|")
+    ]
+    header, body = rows[0], rows[2:]  # rows[1] is the |---| rule
+    assert header == ["name", "runs on", "differentiable"]
+    documented = {name: (runs_on, differentiable) for name, runs_on, differentiable in body}
+    assert len(documented) == len(body)
+    assert sorted(documented) == available()
+    for name in available():
+        provenance = create(name)
+        assert documented[name] == (
+            "device" if provenance.supports_device else "CPU",
+            "yes" if provenance.is_differentiable else "–",
+        ), name
 
 
 def test_registry_unknown_name():
@@ -56,19 +78,15 @@ def test_registry_unknown_name():
 PROOF_SIZES = [
     ("prob-top-1-proofs", "proof_capacity"),
     ("diff-top-1-proofs", "proof_capacity"),
-    ("top-k-proofs-device", "k"),
-    ("top-k-proofs-device", "proof_capacity"),
-    ("diff-top-k-proofs-device", "k"),
-    ("diff-top-k-proofs-device", "proof_capacity"),
 ]
 
 
 @pytest.mark.parametrize("name, parameter", PROOF_SIZES)
 @pytest.mark.parametrize("value", [0, -1, 1.5, True, "4"])
 def test_proof_sizes_must_be_positive_integers(name, parameter, value):
-    """``k`` and ``proof_capacity`` size tag registers: a value the
-    engine would truncate, or one that fails only at run time, is a typed
-    error at construction naming the semiring and the parameter."""
+    """``proof_capacity`` sizes tag registers: a value the engine would
+    truncate, or one that fails only at run time, is a typed error at
+    construction naming the semiring and the parameter."""
     with pytest.raises(ProvenanceError, match=f"'{name}': {parameter} must be"):
         LobsterEngine(TC_PROGRAM, provenance=name, **{parameter: value})
 

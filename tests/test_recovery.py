@@ -5,8 +5,8 @@ crashes — mid-WAL-append torn tails, fully-durable-record-then-die,
 partial or unrenamed checkpoint temp files, post-swap deaths — a stream
 that keeps crashing and recovering lands on state **bitwise equal** to
 the same stream run uninterrupted.  Checked across the unit, minmaxprob,
-and top-k-proofs semirings on transitive closure and CSPA, on sliding
-and tumbling windows.
+and prob-top-1-proofs semirings on transitive closure and CSPA, on
+sliding and tumbling windows.
 
 Equality is over everything a consumer can observe: per-relation result
 maps (bit-exact float probabilities), the view baseline, the retained
@@ -64,17 +64,12 @@ DEREF = sorted(
 )
 del rng
 
-SEMIRINGS = ["unit", "minmaxprob", "top-k-proofs-device"]
-
-
-def make_engine(source: str, provenance: str) -> LobsterEngine:
-    kwargs = {"k": 3} if provenance == "top-k-proofs-device" else {}
-    return LobsterEngine(source, provenance=provenance, **kwargs)
+SEMIRINGS = ["unit", "minmaxprob", "prob-top-1-proofs"]
 
 
 def tc_setup(provenance: str, window_cls=SlidingWindow, size: int = 4):
     """(engine, feed) for the TC workload; deterministic per call."""
-    engine = make_engine(TC, provenance)
+    engine = LobsterEngine(TC, provenance=provenance)
     stream = RelationStream(
         "edge",
         EDGES,
@@ -88,7 +83,7 @@ def tc_setup(provenance: str, window_cls=SlidingWindow, size: int = 4):
 def cspa_setup(provenance: str):
     """(engine, feed, init) for CSPA: assign churns through a tumbling
     window, dereference is static (seeded by ``init``)."""
-    engine = make_engine(CSPA, provenance)
+    engine = LobsterEngine(CSPA, provenance=provenance)
     stream = RelationStream(
         "assign",
         ASSIGN,
@@ -378,7 +373,7 @@ class TestLogSemantics:
             manager.apply("s", feed.advance())
         # Recover against a *different* stream (other seed): the log no
         # longer describes the feed, which verified replay must catch.
-        engine2 = make_engine(TC, "unit")
+        engine2 = LobsterEngine(TC, provenance="unit")
         other = SlidingWindow(
             RelationStream("edge", EDGES, per_tick=3, seed=99), size=4
         )
@@ -619,7 +614,7 @@ class TestExportImport:
         path = tmp_path / "tc.lobsterdb"
         engine.export_database(view.database, path)
 
-        engine2 = make_engine(TC, provenance)
+        engine2 = LobsterEngine(TC, provenance=provenance)
         restored = engine2.import_database(path)
         assert engine2.query_probs(restored, "path") == engine.query_probs(
             view.database, "path"
@@ -636,7 +631,7 @@ class TestExportImport:
         path = tmp_path / "db.lobsterdb"
         engine.export_database(view.database, path)
         with pytest.raises(CheckpointMismatchError):
-            make_engine(TC, "unit").import_database(path)
+            LobsterEngine(TC, provenance="unit").import_database(path)
 
     def test_corrupt_export_raises(self, tmp_path):
         engine, feed = tc_setup("unit")

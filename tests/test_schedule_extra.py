@@ -68,13 +68,13 @@ class TestNegationEquivalence:
             assert rows == reference
 
 
-class TestBatchedTopK:
-    def test_extension_composes_with_batching(self):
-        """The top-k device extension works under batched evaluation."""
+class TestBatchedProofs:
+    def test_proof_tags_compose_with_batching(self):
+        """A proof-carrying semiring keeps each sample's proofs apart under
+        batched evaluation."""
         engine = LobsterEngine(
             "rel path(x, y) :- edge(x, y) or (path(x, z) and edge(z, y)).",
-            provenance="top-k-proofs-device",
-            k=2,
+            provenance="diff-top-1-proofs",
             proof_capacity=16,
             batched=True,
         )
@@ -86,8 +86,9 @@ class TestBatchedTopK:
         engine.run(db)
         by_sample = engine.query_by_sample(db, "path")
         assert by_sample[0][(0, 2)] == pytest.approx(0.72)
-        # Sample 1 keeps both proofs of path(0, 2): 0.3 + 0.25 - 0.075.
-        assert by_sample[1][(0, 2)] == pytest.approx(0.475)
+        # Sample 1 keeps its best single proof of path(0, 2): the direct
+        # edge at 0.3 beats 0.5 * 0.5 through node 1.
+        assert by_sample[1][(0, 2)] == pytest.approx(0.3)
 
 
 class TestStringWorkflows:

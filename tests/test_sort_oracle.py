@@ -48,7 +48,6 @@ SEMIRINGS = {
     "minmaxprob": {},
     "addmultprob": {},
     "diff-top-1-proofs": {"proof_capacity": 3},
-    "top-k-proofs-device": {"k": 2, "proof_capacity": 3},
 }
 FACT_PROBS = np.array([0.9, 0.5, 0.0, 0.3, 1.0, 0.7])
 FACT_GROUPS = np.array([0, 0, -1, 1, 1, -1])

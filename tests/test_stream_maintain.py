@@ -4,7 +4,7 @@ The acceptance bar (ISSUE 4's bitwise-fidelity criterion): after every
 tick of a seeded mixed insert/retract stream, the maintained database
 must equal a cold from-scratch run of the same surviving facts — rows,
 tags (observed through probabilities), and gradients — across unit,
-minmaxprob, and top-k semirings on TC and CSPA.
+minmaxprob, and top-1-proofs semirings on TC and CSPA.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ edge_lists = st.lists(
 )
 
 
-def cold_tc(edges, provenance="unit", probs=None, **kwargs):
-    engine = LobsterEngine(TC, provenance=provenance, **kwargs)
+def cold_tc(edges, provenance="unit", probs=None):
+    engine = LobsterEngine(TC, provenance=provenance)
     db = engine.create_database()
     db.add_facts("edge", edges, probs=probs)
     engine.run(db)
@@ -185,10 +185,10 @@ class TestMaintainFidelity:
                 cold_engine.query_probs(cold_db, "path"),
             )
 
-    def test_topk_proofs_matches_cold(self):
+    def test_top1_proofs_matches_cold(self):
         edges = [(0, 1), (1, 2), (0, 2), (2, 3), (1, 3)]
         probs = [0.9, 0.8, 0.5, 0.7, 0.6]
-        engine = LobsterEngine(TC, provenance="top-k-proofs-device", k=3)
+        engine = LobsterEngine(TC, provenance="prob-top-1-proofs")
         db = engine.create_database()
         db.add_facts("edge", edges, probs=probs)
         engine.run(db)
@@ -198,9 +198,8 @@ class TestMaintainFidelity:
         survivors = [(e, p) for e, p in zip(edges, probs) if e != (0, 1)]
         cold_engine, cold_db = cold_tc(
             [e for e, _ in survivors],
-            "top-k-proofs-device",
+            "prob-top-1-proofs",
             [p for _, p in survivors],
-            k=3,
         )
         assert_probs_match(
             engine.query_probs(db, "path"), cold_engine.query_probs(cold_db, "path")
