@@ -19,8 +19,9 @@ loads, for 1 and 4 devices, and asserts the canonical shapes:
   nonzero at every operating point (the CI smoke gate).
 
 Offered loads are expressed as multiples of measured single-device
-capacity (1 / mean modeled service time), so the curves keep their
-shape if the cost model's constants change.  Everything runs on the
+capacity (1 / mean modeled service time at saturation, where every
+micro-batch is full and folds into one fix point), so the curves keep
+their shape if the cost model's constants change.  Everything runs on the
 serve clock (simulated seconds); ``LOBSTER_BENCH_SCALE=tiny`` shrinks the
 stream for CI.
 """
@@ -67,10 +68,14 @@ def make_factory(engine):
 
 
 def calibrate_service_seconds(engine) -> float:
-    """Mean modeled per-request service time at trivial load (no
-    queueing, no coalescing) — defines device capacity for the sweep."""
+    """Mean modeled per-request service time of a coalescing burst —
+    defines device capacity for the sweep.  A saturated device serves
+    full micro-batches, each folded into one fix point and charging its
+    members an equal share, so capacity is measured there: priced at a
+    trickle of one-request batches, it would understate what the device
+    sustains and put the knee past every offered load."""
     factory = make_factory(engine)
-    gen = LoadGenerator(engine, factory, rate_hz=1.0, n_requests=12, seed=SEED)
+    gen = LoadGenerator(engine, factory, rate_hz=1e7, n_requests=12, seed=SEED)
     scheduler = Scheduler(n_devices=1)
     report = scheduler.run(gen.generate())
     assert report.completed == 12

@@ -74,6 +74,11 @@ class DeviceProfile:
         copy.instruction_counts = dict(self.instruction_counts)
         return copy
 
+    def restore(self, snapshot: "DeviceProfile") -> None:
+        """Roll the counters back, in place, to ``snapshot`` (taken by
+        :meth:`snapshot`): work abandoned since then leaves no charge."""
+        self.__dict__.update(snapshot.snapshot().__dict__)
+
     @property
     def busy_seconds(self) -> float:
         """Modeled time this device spent occupied: kernels, host

@@ -48,6 +48,12 @@ class Provenance(ABC):
     #: break) or whose ⊗ can merge two proofs into one (the proof
     #: semirings) stay ``False``.
     distributive: bool = False
+    #: Whether a tag names input facts by id: a proof's fact ids, a
+    #: witness fact, a gradient vector indexed by fact.  Such tags are
+    #: only meaningful against their own database's fact ids, so
+    #: ``LobsterSession.run_batch`` never folds several databases into
+    #: one batched fix point (§4.3) under such a semiring.
+    names_facts: bool = False
 
     def __init__(self) -> None:
         self.n_inputs = 0

@@ -23,6 +23,7 @@ class DiffAddMultProbProvenance(Provenance):
 
     name = "diff-addmultprob"
     is_differentiable = True
+    names_facts = True  # the gradient vector is indexed by fact id
 
     def __init__(self) -> None:
         super().__init__()

@@ -21,6 +21,7 @@ class DiffMinMaxProbProvenance(Provenance):
     name = "diff-minmaxprob"
     is_differentiable = True
     idempotent_oplus = True  # ⊕ = max (witness rides along)
+    names_facts = True  # the witness is a fact id
 
     _dtype = np.dtype([("prob", "f8"), ("fact", "i8")])
 

@@ -61,6 +61,7 @@ class Top1ProofProvenance(Provenance):
 
     name = "prob-top-1-proofs"
     idempotent_oplus = True  # ⊕ keeps the single most likely proof
+    names_facts = True  # a proof is a set of fact ids
 
     def __init__(self, proof_capacity: int = DEFAULT_PROOF_CAPACITY):
         super().__init__()

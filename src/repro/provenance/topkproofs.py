@@ -30,6 +30,7 @@ class TopKProofsProvenance(Provenance):
     name = "top-k-proofs"
     supports_device = False
     is_differentiable = False
+    names_facts = True  # proofs are sets of fact ids
 
     def __init__(self, k: int = 3):
         super().__init__()

@@ -37,7 +37,6 @@ from ..apm.compiler import ApmProgram, compile_ram
 from ..apm.optimizer import optimize
 from ..datalog.parser import parse
 from ..datalog.resolver import ResolvedProgram, _resolve_fact_blocks, resolve
-from ..interning import SymbolTable
 from ..provenance import registry
 from ..ram.compile_datalog import compile_program
 from ..ram.ir import RamProgram
@@ -139,11 +138,12 @@ def compile_source(
         ast_program = batch_transform(ast_program)
         # Fact blocks stay sample-relative: pull them out before
         # resolution (their arity predates the sample column) and
-        # replicate them per sample at load time.
-        symbols = SymbolTable()
-        batch_fact_rows = _resolve_fact_blocks(ast_program.fact_blocks, symbols)
-        ast_program.fact_blocks = []
-        resolved = resolve(ast_program, symbols)
+        # replicate them per sample at load time.  They are interned
+        # after the rules, as the plain program interns them, so both
+        # artifacts give every string the same id.
+        fact_blocks, ast_program.fact_blocks = ast_program.fact_blocks, []
+        resolved = resolve(ast_program)
+        batch_fact_rows = _resolve_fact_blocks(fact_blocks, resolved.symbols)
     else:
         resolved = resolve(ast_program)
     ram = compile_program(resolved, registry.is_distributive(provenance_name))

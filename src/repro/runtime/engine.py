@@ -45,6 +45,7 @@ Example
 
 from __future__ import annotations
 
+import copy
 import threading
 import time
 from dataclasses import dataclass
@@ -52,7 +53,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .batching import prepend_sample
+from .batching import prepend_sample, run_relations, sample_bounds
 from .cache import (
     CompiledProgram,
     OptimizationConfig,
@@ -61,6 +62,7 @@ from .cache import (
     default_cache,
 )
 from .database import Database
+from .table import Table
 from ..apm.compiler import ApmProgram
 from ..apm.interpreter import DEFAULT_MAX_ITERATIONS, ApmInterpreter
 from ..errors import LobsterError, ProvenanceError, RetractionUnsupportedError
@@ -113,6 +115,13 @@ class ExecutionResult:
     #: recompute (retractions applied to the fact log + cold rerun)
     #: instead of maintaining in place; None when no fallback happened.
     maintain_fallback: str | None = None
+    #: How many databases this run evaluated: 1 for a run of its own
+    #: database; k when :meth:`LobsterSession.run_batch` folded a
+    #: micro-batch of k cold databases into one batched fix point
+    #: (§4.3).  Every member's result then carries that one run's
+    #: counters and wall time, and its share of the device time is
+    #: ``service_seconds / fold_size``.
+    fold_size: int = 1
 
     @property
     def total_seconds(self) -> float:
@@ -129,7 +138,9 @@ class ExecutionResult:
 
         This is the quantity the online scheduler charges per request —
         a device that just served a run is busy for ``service_seconds``
-        of simulated time before the next micro-batch can start.  Being
+        of simulated time before the next micro-batch can start (a
+        folded micro-batch's members all report the one run's seconds;
+        each is charged ``service_seconds / fold_size``).  Being
         pure counter accounting from :class:`DeviceProfile`, it is
         deterministic for a given program and input, which is what makes
         serving latency distributions replayable.
@@ -143,6 +154,8 @@ class ExecutionResult:
         mode = ", incremental" if self.incremental else ""
         if self.maintained:
             mode += ", maintained"
+        if self.fold_size > 1:
+            mode += f", folded x{self.fold_size}"
         return (
             f"ExecutionResult(compile={compile_part}, "
             f"run={self.wall_seconds:.6f}s, "
@@ -226,8 +239,6 @@ class LobsterEngine:
                     "keywords configure a semiring named by string, and "
                     "provenance= is already an instance"
                 )
-            import copy
-
             template = copy.deepcopy(provenance)
             self._provenance_factory = lambda: copy.deepcopy(template)
             self.provenance_name = provenance.name
@@ -247,15 +258,10 @@ class LobsterEngine:
 
         if cache is None or cache is True:
             cache = default_cache()
-        if cache is False:
-            compiled = compile_source(
-                source, self.provenance_name, self.optimizations, batched
-            )
-            cache_hit = False
-        else:
-            compiled, cache_hit = cache.get_or_compile(
-                source, self.provenance_name, self.optimizations, batched
-            )
+        #: Where this program's artifacts come from (False: compiled
+        #: fresh every time) — the batched twin is fetched there too.
+        self._cache = cache
+        compiled, cache_hit = self._compile(batched)
         self.compiled: CompiledProgram = compiled
         self.cache_hit = cache_hit
         #: Front-end seconds paid by *this* construction (0.0 on a hit).
@@ -269,6 +275,52 @@ class LobsterEngine:
         #: by every LobsterSession.run_all targeting this engine, so two
         #: sessions sharing one engine cannot interleave on its device.
         self._drain_lock = threading.Lock()
+        #: The batched twin (:meth:`_batched_twin`): None until first
+        #: asked for, False when this program has none.
+        self._twin: LobsterEngine | None | bool = None
+
+    def _compile(self, batched: bool) -> tuple[CompiledProgram, bool]:
+        """``(artifact, cache_hit)`` for this program, plain or batched."""
+        if self._cache is False:
+            artifact = compile_source(
+                self.source, self.provenance_name, self.optimizations, batched
+            )
+            return artifact, False
+        return self._cache.get_or_compile(
+            self.source, self.provenance_name, self.optimizations, batched
+        )
+
+    def _batched_twin(self) -> "LobsterEngine | None":
+        """This program's sample-id rewrite (§4.3) as an engine sharing
+        this one's device, semiring, flags and iteration cap — what
+        :meth:`LobsterSession.run_batch` runs a folded micro-batch on.
+
+        Compiled once, through the program cache, on first use.  None
+        when the rewrite does not compile, or types a relation the run
+        opens differently from this program (a relation typed only by
+        its inline facts); that verdict is cached too, so such a
+        program is tried once and then always runs back to back."""
+        if self._twin is None:
+            try:
+                compiled, cache_hit = self._compile(batched=True)
+            except LobsterError:
+                self._twin = False
+                return None
+            sample, plain = compiled.resolved.schemas, self.resolved.schemas
+            if any(
+                sample.get(name, ())[1:] != plain[name]
+                for name in run_relations(self.apm)
+            ):
+                self._twin = False
+                return None
+            twin = copy.copy(self)
+            twin.batched, twin._twin = True, False
+            twin.compiled, twin.cache_hit = compiled, cache_hit
+            twin.compile_seconds = 0.0 if cache_hit else compiled.compile_seconds
+            twin.resolved, twin.ram, twin.apm = compiled.resolved, compiled.ram, compiled.apm
+            twin._batch_fact_rows = compiled.batch_fact_rows
+            self._twin = twin
+        return self._twin or None
 
     # ------------------------------------------------------------------
 
@@ -574,10 +626,18 @@ class LobsterEngine:
         """Disaggregate a batched result into per-sample databases."""
         if not self.batched:
             raise LobsterError("engine was not constructed with batched=True")
-        rows, probs = database.result_probs(name)
+        table = database.result(name)
+        probs = database.provenance.prob(table.tags).tolist()
+        samples = table.columns[0]
+        # ``full`` sorts sample-first: each sample's rows are one run.
+        firsts = np.ones(len(samples), dtype=bool)
+        firsts[1:] = samples[1:] != samples[:-1]
+        ids = samples[firsts]
+        bounds = sample_bounds(samples, ids)
         out: dict[int, dict[tuple, float]] = {}
-        for row, prob in zip(rows, probs):
-            out.setdefault(int(row[0]), {})[tuple(row[1:])] = float(prob)
+        for sample, lo, hi in zip(ids.tolist(), bounds[:-1], bounds[1:]):
+            rows = Table([c[lo:hi] for c in table.columns[1:]], table.tags[lo:hi], hi - lo)
+            out[sample] = dict(zip(rows.rows(), probs[lo:hi]))
         return out
 
     def backward(

@@ -15,6 +15,12 @@ amortizes every one-time cost the device profile models:
   reuse the previous query's buffers instead of paying the simulated
   allocation latency.
 
+The serving scheduler's step, :meth:`LobsterSession.run_batch`, goes
+further when it can: a micro-batch of cold databases under a semiring
+whose tags do not name input facts runs as **one** batched fix point of
+the program's sample-id twin (§4.3), so per-kernel constants are paid
+once per batch rather than once per request.
+
 For throughput serving, a session can spread its queries across a
 :class:`~repro.dist.pool.DevicePool`: queries round-robin over the pool's
 devices (each with its own warm interpreter), and the report aggregates
@@ -41,13 +47,19 @@ Example
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
+from .batching import run_relations, split_database, stack_databases
 from .database import Database
 from .engine import ExecutionResult, LobsterEngine
 from ..apm.interpreter import ApmInterpreter
 from ..dist.pool import DevicePool
-from ..errors import LobsterError, TicketNotRunError, UnknownTicketError
+from ..errors import (
+    DeviceOutOfMemory,
+    LobsterError,
+    TicketNotRunError,
+    UnknownTicketError,
+)
 from ..gpu.device import DeviceProfile
 
 
@@ -274,8 +286,23 @@ class LobsterSession:
         span_parent=None,
     ) -> list[ExecutionResult]:
         """The serving scheduler's single-batch step: run ``databases``
-        back-to-back on **one** device, returning the per-query results
-        in order.
+        on **one** device, returning the per-query results in order.
+
+        A batch of two or more *cold* databases (never evaluated, no
+        staged retractions, each passed once) under a semiring whose
+        tags do not name input facts
+        (:attr:`~repro.provenance.base.Provenance.names_facts`) is
+        *folded* into one fix point (§4.3): the databases' loaded
+        relations are stacked behind sample ids into one database of the
+        program's batched twin, which runs once; every derived relation
+        is then sliced back, so each database ends bit for bit as a run
+        of its own would leave it.  Every member's result carries the
+        fold's counters and ``fold_size=k``.  Any other batch — one
+        member, a warm, incremental or maintain run, a fact-naming
+        semiring, a program whose sample-id rewrite does not compile —
+        runs back to back, and so do the members of a fold that runs out
+        of device memory (the abandoned fold is rolled off the device's
+        counters and allocation sites).
 
         Unlike :meth:`run_all` this never touches other pending queries
         and never resets device profiles, so an online scheduler can
@@ -313,10 +340,86 @@ class LobsterSession:
                 queries = [
                     SubmittedQuery(-1, database) for database in databases
                 ]
+            twin = self._fold_twin(databases)
+            if twin is not None:
+                try:
+                    return self._execute_folded(
+                        queries, twin, interpreter, span_parent=span_parent
+                    )
+                except DeviceOutOfMemory:
+                    pass  # k members' tables at once did not fit
             return [
                 self._execute(query, interpreter, span_parent=span_parent)
                 for query in queries
             ]
+
+    def _fold_twin(self, databases: list[Database]) -> LobsterEngine | None:
+        """The batched twin that runs ``databases`` as one fix point,
+        or None when they must run back to back (see :meth:`run_batch`)."""
+        engine = self.engine
+        if (
+            len(databases) < 2
+            or engine.batched
+            or databases[0].provenance.names_facts
+            or len({id(database) for database in databases}) < len(databases)
+        ):
+            return None
+        for database in databases:
+            if (
+                database.evaluated
+                or database.has_pending_retractions
+                or database.provenance.name != engine.provenance_name
+            ):
+                return None
+        return engine._batched_twin()
+
+    def _execute_folded(
+        self,
+        queries: list[SubmittedQuery],
+        twin: LobsterEngine,
+        interpreter: ApmInterpreter,
+        span_parent=None,
+    ) -> list[ExecutionResult]:
+        """Run ``queries`` as one fold on ``twin`` (caller holds the
+        drain lock).  Raises :class:`~repro.errors.DeviceOutOfMemory`
+        with the device's counters and allocation sites as they were
+        before the fold, and no database evaluated."""
+        engine = self.engine
+        members = [query.database for query in queries]
+        for member in members:
+            member.finalize()
+        folded = twin.create_database()
+        folded.finalize()
+        names = run_relations(engine.apm)
+        stack_databases(members, folded, names)
+        profile = interpreter.device.profile
+        before, sites = profile.snapshot(), set(interpreter._seen_sites)
+        try:
+            fold = twin.run(
+                folded,
+                reset_profile=False,
+                _interpreter=interpreter,
+                tracer=self.tracer,
+                span_parent=span_parent,
+            )
+        except DeviceOutOfMemory:
+            profile.restore(before)
+            interpreter._seen_sites = sites
+            raise
+        derived = {p for stratum in engine.apm.strata for p in stratum.predicates}
+        split_database(folded, members, names, derived)
+        results = []
+        for query in queries:
+            query.database.evaluated = True
+            query.result = replace(
+                fold,
+                compile_seconds=engine.compile_seconds,
+                program_from_cache=engine.cache_hit,
+                fold_size=len(queries),
+            )
+            self._observe(query.result)
+            results.append(query.result)
+        return results
 
     def _execute(
         self,
@@ -334,6 +437,11 @@ class LobsterSession:
             span_parent=span_parent,
         )
         query.result = result
+        self._observe(result)
+        return result
+
+    def _observe(self, result: ExecutionResult) -> None:
+        """Record one query's result in the attached metrics registry."""
         if self.metrics is not None:
             self.metrics.counter("session.queries").inc()
             if result.incremental:
@@ -343,6 +451,5 @@ class LobsterSession:
             if result.maintain_fallback is not None:
                 self.metrics.counter("session.maintain_fallbacks").inc()
             self.metrics.histogram("session.service_s").observe(
-                result.service_seconds
+                result.service_seconds / result.fold_size
             )
-        return result

@@ -19,9 +19,15 @@ Per event-loop turn:
    scheduler sheds deadline-expired requests, acquires the least-loaded
    free device from the :class:`~repro.dist.pool.DevicePool`, and runs
    the batch through that program's :class:`~repro.runtime.session.
-   LobsterSession` single-batch step (warm per-device interpreters, per
-   -query timing).  Completion times fan out cumulatively along the
-   batch; the device is busy until the batch drains.
+   LobsterSession` single-batch step (warm per-device interpreters).  A
+   batch of two or more cold requests under a semiring whose tags do not
+   name input facts is *folded* into one batched fix point (§4.3): all
+   its members finish together at ``start + S``, ``S`` the fold's
+   modeled service time, and each is charged ``S / k``.  Any other
+   batch (one request, warm or maintain runs, proof and gradient
+   semirings) runs back to back and its completion times fan out
+   cumulatively.  Either way the device is busy until the batch drains,
+   and its busy time is the sum of its members' service charges.
 3. **advance** — the clock jumps to the next arrival, group-ready time,
    or device-free time, whichever is first.
 
@@ -439,7 +445,8 @@ class Scheduler:
         """Run one micro-batch of ``group`` and fan its outcomes out.
 
         The batch takes the least-loaded free device and holds it until
-        the batch drains."""
+        the batch drains: after the one run of a folded batch, or after
+        its members' runs back to back."""
         batch = self._fill_batch(group, now, queue)
         if not batch:
             return
@@ -453,8 +460,8 @@ class Scheduler:
         if tracer.enabled and any(
             request.ticket in self._request_spans for request in batch
         ):
-            # The batch occupies its device [now, now + sum(services)];
-            # engine-run spans nest under it on the device's lane.  The
+            # The batch occupies its device until it drains; engine-run
+            # spans nest under it on the device's lane.  The
             # cursor is pinned to the dispatch time so those run spans
             # anchor exactly where the outcome fan-out puts them.
             batch_span = tracer.start(
@@ -486,9 +493,14 @@ class Scheduler:
                 )
         start = now
         elapsed = 0.0
-        for request, result in zip(batch, results):
-            service = result.service_seconds
-            elapsed += service
+        for index, (request, result) in enumerate(zip(batch, results)):
+            # A folded batch is one run: every member occupies the device
+            # for all of it and finishes with it, charged an equal share.
+            # Back to back, each run follows its predecessors.
+            run_s = result.service_seconds
+            service = run_s / result.fold_size
+            if index % result.fold_size == 0:
+                elapsed += run_s
             finish = start + elapsed
             outcome = Outcome(
                 ticket=request.ticket,
@@ -512,10 +524,10 @@ class Scheduler:
                 wait = tracer.start("queue.wait", t=request.arrival_s, parent=span)
                 tracer.finish(wait, start)
                 turn = tracer.start("batch.wait", t=start, parent=span)
-                tracer.finish(turn, finish - service)
+                tracer.finish(turn, finish - run_s)
                 execute = tracer.start(
                     "serve.execute",
-                    t=finish - service,
+                    t=finish - run_s,
                     parent=span,
                     batch_size=len(batch),
                     device=device_index,
