@@ -591,14 +591,13 @@ class ApmInterpreter:
                 n = len(registers[src.tags])
                 source_cols = [registers[c] for c in src.cols]
                 for j, program in enumerate(instruction.programs):
-                    dtype = instruction.dst.dtypes[j]
                     if isinstance(program, int):
-                        column = source_cols[program]
-                        if column.dtype != dtype:
-                            column = column.astype(dtype)
-                        put(instruction.dst.cols[j], column)
+                        # A column copy keeps its dtype: the resolver gave
+                        # every variable and head column one.
+                        put(instruction.dst.cols[j], source_cols[program])
                     else:
                         value = bytecode.execute(program, source_cols, n)
+                        dtype = instruction.dst.dtypes[j]
                         put(instruction.dst.cols[j], np.asarray(value).astype(dtype))
                 put(instruction.dst.tags, registers[src.tags], charge=False)
 

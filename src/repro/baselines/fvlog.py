@@ -6,7 +6,6 @@ attributes Lobster's edge to APM's optimization passes and runtime reuse.
 This stand-in therefore runs Lobster's vectorized kernels on the same
 Datalog source (so benchmarks hand both systems identical logic) with:
 
-* no APM passes (no DCE or projection fusion);
 * no static hash-index cache — every ``Build`` re-hashes its side;
 * no buffer reuse, through the device it runs on
   (``VirtualDevice(reuse_buffers=False)``, the default here): every
@@ -17,7 +16,9 @@ Datalog source (so benchmarks hand both systems identical logic) with:
 It does not model FVLog's per-stratum host<->device transfers: the
 modeled transfer clock books Lobster's §5.3 offload window for both
 engines.  Only the unit provenance is supported, matching FVLog's
-discrete-only feature set.
+discrete-only feature set.  The APM passes (DCE, projection fusion) run
+here as everywhere; on the programs the stand-in is compared with (TC,
+SameGen, CSPA) they change no instruction.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from ..runtime.engine import ExecutionResult, LobsterEngine, OptimizationConfig
 
 
 class FVLogEngine(LobsterEngine):
-    """Discrete-only vectorized engine with APM passes, static indices and
-    buffer reuse off."""
+    """Discrete-only vectorized engine with static indices and buffer reuse
+    off."""
 
     def __init__(
         self,
@@ -42,7 +43,7 @@ class FVLogEngine(LobsterEngine):
             source,
             provenance="unit",
             device=device,
-            optimizations=OptimizationConfig(static_indices=False, apm_passes=False),
+            optimizations=OptimizationConfig(static_indices=False),
             max_iterations=max_iterations,
         )
 

@@ -3,9 +3,17 @@
 Converts a parsed :class:`~repro.datalog.ast.ProgramAst` into a
 :class:`ResolvedProgram`:
 
-* relation schemas are computed (declared types resolved through aliases;
-  undeclared relations inferred, with float columns propagated to a fixed
-  point through rule heads);
+* relation schemas are computed: declared types, resolved through
+  aliases, are final; undeclared relations are inferred, with float
+  columns propagated into them to a fixed point through rule heads and
+  fact blocks;
+* every rule is typed once: a variable has one dtype over all its
+  positive and negated atoms and the comparisons of two variables, and
+  every head term — literals included — has its column's dtype
+  (arithmetic promotes, ``/`` gives a float; comparisons against literals
+  promote too).  A conflict is a :class:`~repro.errors.ResolutionError`
+  naming the rule, the variable and both columns, so the runtime never
+  converts a key;
 * bodies are desugared to DNF and split into positive atoms, negated atoms,
   and comparisons;
 * string constants are interned to int64 symbol ids;
@@ -111,7 +119,8 @@ def resolve(program: ast.ProgramAst, symbols: SymbolTable | None = None) -> Reso
 
     facts = _resolve_fact_blocks(program.fact_blocks, symbols)
 
-    _infer_schemas(schemas, rules, facts)
+    _infer_schemas(schemas, set(declared), rules, facts)
+    _check_types(schemas, rules, flat)
 
     idb = {rule.head for rule in rules}
     referenced = {
@@ -263,10 +272,12 @@ def _vars_of(term: ast.Term) -> set[str]:
 
 def _infer_schemas(
     schemas: dict[str, tuple[np.dtype, ...]],
+    declared: set[str],
     rules: list[ResolvedRule],
     facts: dict[str, list[tuple]],
 ) -> None:
-    """Fill in schemas for undeclared relations; propagate float columns."""
+    """Fill in schemas for undeclared relations, propagating float columns
+    into them to a fixed point; declared columns keep their types."""
 
     def ensure(pred: str, arity: int) -> None:
         existing = schemas.get(pred)
@@ -282,44 +293,141 @@ def _infer_schemas(
         for atom in rule.positives + rule.negatives:
             ensure(atom.predicate, len(atom.args))
     for pred, rows in facts.items():
-        if rows:
-            ensure(pred, len(rows[0]))
-            if any(isinstance(v, float) for row in rows for v in row):
-                schemas[pred] = tuple(
-                    FLOAT if any(isinstance(row[j], float) for row in rows) else dt
-                    for j, dt in enumerate(schemas[pred])
-                )
+        if not rows:
+            continue
+        ensure(pred, len(rows[0]))
+        floats = [any(isinstance(row[j], float) for row in rows) for j in range(len(rows[0]))]
+        if pred in declared:
+            # As add_facts: an integer fits a float column, a float never
+            # fits an integer one.
+            for j, dtype in enumerate(schemas[pred]):
+                if floats[j] and dtype != FLOAT:
+                    raise ResolutionError(
+                        f"fact block for {pred!r} puts a float into "
+                        f"{_column(pred, j, dtype)}"
+                    )
+        else:
+            schemas[pred] = tuple(
+                FLOAT if is_float else dt for is_float, dt in zip(floats, schemas[pred])
+            )
 
-    # Propagate float-ness through rule heads to a fixed point.
     changed = True
     while changed:
         changed = False
         for rule in rules:
-            var_types: dict[str, np.dtype] = {}
-            for atom in rule.positives:
-                dtypes = schemas[atom.predicate]
-                for term, dtype in zip(atom.args, dtypes):
-                    if isinstance(term, ast.Var) and dtype == FLOAT:
-                        var_types[term.name] = FLOAT
+            if rule.head in declared:
+                continue
+            var_types = {
+                term.name: dtype
+                for atom in rule.positives
+                for term, dtype in zip(atom.args, schemas[atom.predicate])
+                if isinstance(term, ast.Var) and dtype == FLOAT
+            }
             head_dtypes = list(schemas[rule.head])
             for j, term in enumerate(rule.head_terms):
-                if _term_is_float(term, var_types) and head_dtypes[j] != FLOAT:
+                if _term_dtype(term, var_types) == FLOAT and head_dtypes[j] != FLOAT:
                     head_dtypes[j] = FLOAT
                     changed = True
             schemas[rule.head] = tuple(head_dtypes)
 
 
-def _term_is_float(term: ast.Term, var_types: dict[str, np.dtype]) -> bool:
-    if isinstance(term, ast.FloatConst):
-        return True
+def _check_types(
+    schemas: dict[str, tuple[np.dtype, ...]],
+    rules: list[ResolvedRule],
+    flat: list[tuple[ast.Atom, list[ast.Literal]]],
+) -> None:
+    """One dtype per variable per rule — over positive and negated atoms
+    and comparisons of two variables — and every head term of its
+    column's dtype, so the runtime never converts a key.  ``flat`` holds
+    each rule as written, for the error message."""
+    for rule, (head, body) in zip(rules, flat):
+        var_types: dict[str, np.dtype] = {}
+        first_at: dict[str, tuple[str, int]] = {}
+
+        def mismatch(problem: str) -> ResolutionError:
+            return ResolutionError(f"rule `{_rule_text(head, body)}`: {problem}")
+
+        def at(name: str) -> str:
+            pred, j = first_at[name]
+            return _column(pred, j, var_types[name])
+
+        for atom in rule.positives + rule.negatives:
+            for j, (term, dtype) in enumerate(zip(atom.args, schemas[atom.predicate])):
+                if not isinstance(term, ast.Var):
+                    continue
+                if term.name not in var_types:
+                    var_types[term.name] = dtype
+                    first_at[term.name] = (atom.predicate, j)
+                elif var_types[term.name] != dtype:
+                    raise mismatch(
+                        f"variable {term.name!r} is {at(term.name)} and "
+                        f"{_column(atom.predicate, j, dtype)}"
+                    )
+        for comparison in rule.comparisons:
+            lhs, rhs = comparison.lhs, comparison.rhs
+            if (
+                isinstance(lhs, ast.Var)
+                and isinstance(rhs, ast.Var)
+                and var_types[lhs.name] != var_types[rhs.name]
+            ):
+                raise mismatch(
+                    f"variable {lhs.name!r} is {at(lhs.name)} and {rhs.name!r} is "
+                    f"{at(rhs.name)}, so `{lhs.name} {comparison.op} {rhs.name}` "
+                    "mixes dtypes"
+                )
+        for j, (term, dtype) in enumerate(zip(rule.head_terms, schemas[rule.head])):
+            got = _term_dtype(term, var_types)
+            if got != dtype:
+                raise mismatch(
+                    f"head term {_term_text(head.args[j])} is {_DTYPE_NAMES[got]}, "
+                    f"not {_column(rule.head, j, dtype)}"
+                )
+
+
+_DTYPE_NAMES = {INT: "i64", FLOAT: "f64"}
+
+
+def _rule_text(head: ast.Atom, body: list[ast.Literal]) -> str:
+    def literal(lit: ast.Literal) -> str:
+        if isinstance(lit, ast.Comparison):
+            return f"{_term_text(lit.lhs)} {lit.op} {_term_text(lit.rhs)}"
+        args = ", ".join(_term_text(t) for t in lit.args)
+        return f"{'~' if lit.negated else ''}{lit.predicate}({args})"
+
+    return f"{literal(head)} :- {', '.join(literal(lit) for lit in body)}"
+
+
+def _term_text(term: ast.Term) -> str:
     if isinstance(term, ast.Var):
-        # ``is`` matters: np.dtype(None) equals float64, so a missing entry
-        # must not compare equal to FLOAT.
-        return var_types.get(term.name) is FLOAT
+        return term.name
+    if isinstance(term, ast.Wildcard):
+        return "_"
+    if isinstance(term, ast.StringConst):
+        return f'"{term.value}"'
+    if isinstance(term, ast.BinOp):
+        return f"({_term_text(term.lhs)} {term.op} {_term_text(term.rhs)})"
+    if isinstance(term, ast.Neg):
+        return f"-{_term_text(term.operand)}"
+    return repr(term.value)
+
+
+def _column(relation: str, index: int, dtype: np.dtype) -> str:
+    return f"{relation}[{index}]: {_DTYPE_NAMES[dtype]}"
+
+
+def _term_dtype(term: ast.Term, var_types: dict[str, np.dtype]) -> np.dtype:
+    """The dtype a head term evaluates to: a literal's own, a variable's
+    (INT when untyped), and for arithmetic the usual promotion, ``/``
+    always FLOAT."""
+    if isinstance(term, ast.FloatConst):
+        return FLOAT
+    if isinstance(term, ast.Var):
+        return var_types.get(term.name, INT)
     if isinstance(term, ast.BinOp):
         if term.op == "/":
-            return True
-        return _term_is_float(term.lhs, var_types) or _term_is_float(term.rhs, var_types)
+            return FLOAT
+        sides = (_term_dtype(term.lhs, var_types), _term_dtype(term.rhs, var_types))
+        return FLOAT if FLOAT in sides else INT
     if isinstance(term, ast.Neg):
-        return _term_is_float(term.operand, var_types)
-    return False
+        return _term_dtype(term.operand, var_types)
+    return INT

@@ -20,9 +20,9 @@ come from :func:`~repro.gpu.kernels.group_rows` — one value sort of the
 packed keys — so the representatives' keys are already sorted and a
 group's position among them is its group id.  Key equality is row
 equality: ``-0.0`` matches ``0.0`` and a NaN matches a NaN, as in
-deduplication.  A probe column of another dtype than its key column
-(an ``f64`` variable joined with an ``i64`` one) matches exact equals
-only: ``2.0`` finds ``2``, ``1.5`` finds nothing.
+deduplication.  A probe column always has its key column's dtype: the
+resolver types every variable once, so no lookup converts a key, and a
+mismatch is an :class:`~repro.errors.ExecutionError`.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
+from ..errors import ExecutionError
 
 #: Hash-table over-allocation factor (the parameter "O" of Fig. 6).
 DEFAULT_LOAD_FACTOR = 2.0
@@ -75,7 +76,7 @@ class RowLocator:
         columns must have the table's dtypes, and on the packed path every
         query value must lie inside its column's packed range
         (``kernels.pack_params(columns, self.params) == self.params``);
-        :meth:`find` casts the columns and filters the other rows first."""
+        :meth:`find` checks the dtypes and filters the other rows first."""
         if not self.columns:
             # Every arity-0 row is the empty tuple: present iff the table
             # is nonempty, and sorting before nothing.
@@ -126,24 +127,21 @@ class RowLocator:
         return origin[order], order, np.cumsum(is_first) - 1
 
     def _comparable(self, columns) -> tuple[list[np.ndarray], np.ndarray | None]:
-        """The query rows :meth:`locate` can take — cast to the table's
-        dtypes — and their indices (None: all of them).  A value with no
-        exact equal in its column's dtype (``1.5`` or ``inf`` against an
-        integer column, ``2**53 + 1`` against a float one) is in no table
-        row, nor, on the packed path, is a value outside its column's
-        packed range."""
+        """The query rows :meth:`locate` can take and their indices (None:
+        all of them): on the packed path a value outside its column's
+        packed range is in no table row.  A query column of another dtype
+        than its table column raises :class:`~repro.errors.ExecutionError`
+        — the resolver gives every key one dtype, so a mismatch is a
+        lowering bug, never a key to convert."""
         valid = None
         query = []
         for j, (column, col) in enumerate(zip(self.columns, columns)):
             col = np.asarray(col)
             if col.dtype != column.dtype:
-                with np.errstate(invalid="ignore"):
-                    cast = col.astype(column.dtype)
-                    exact = cast.astype(col.dtype) == col
-                if column.dtype.kind == "f":
-                    exact |= np.isnan(col)
-                col = cast
-                valid = exact if valid is None else valid & exact
+                raise ExecutionError(
+                    f"row lookup: query column {j} is {col.dtype}, "
+                    f"the table's is {column.dtype}"
+                )
             if self.keys is not None:
                 lo, bits = self.params[j]
                 inside = (col >= lo) & (col <= lo + (1 << bits) - 1)
@@ -156,9 +154,9 @@ class RowLocator:
 
     def find(self, columns, n_query: int) -> np.ndarray:
         """The table row equal to each query row (int64), −1 where there
-        is none.  Values of another dtype match only their exact equals
-        (``1.0`` finds ``1``; ``1.5`` finds nothing).  ``n_query`` is
-        needed for arity-0 queries (no columns to measure)."""
+        is none.  Query columns must have the table's dtypes
+        (:class:`~repro.errors.ExecutionError` otherwise).  ``n_query``
+        is needed for arity-0 queries (no columns to measure)."""
         if self.n_rows == 0 or n_query == 0:
             return np.full(n_query, -1, dtype=np.int64)
         query, rows = self._comparable(columns)

@@ -51,24 +51,22 @@ class OptimizationConfig:
     """Toggles for the paper's optimizations that change host work.
 
     ``static_indices`` reuses the hash indices of iteration-invariant
-    join sides across iterations (§4.2); ``apm_passes`` changes the
-    compiled program (it gates the APM-level DCE/fusion passes).  Both
-    are part of the program-cache key so an ablation arm never sees
-    another arm's artifact.  Buffer reuse (§4.1) is the device's
-    allocator setting
+    join sides across iterations (§4.2).  It is part of the program-cache
+    key so an ablation arm never sees another arm's artifact.  The APM
+    passes (DCE, projection fusion) always run, buffer reuse (§4.1) is
+    the device's allocator setting
     (:attr:`~repro.gpu.device.VirtualDevice.reuse_buffers`), and stratum
     offload scheduling (§5.3) always plans one device window.
     """
 
     static_indices: bool = True
-    apm_passes: bool = True
 
     @classmethod
     def none(cls) -> "OptimizationConfig":
-        return cls(False, False)
+        return cls(False)
 
     def key_fields(self) -> tuple[bool, ...]:
-        return (self.static_indices, self.apm_passes)
+        return (self.static_indices,)
 
 
 @dataclass
@@ -147,9 +145,7 @@ def compile_source(
     else:
         resolved = resolve(ast_program)
     ram = compile_program(resolved, registry.is_distributive(provenance_name))
-    apm = compile_ram(ram)
-    if optimizations.apm_passes:
-        apm = optimize(apm)
+    apm = optimize(compile_ram(ram))
     return CompiledProgram(
         key=cache_key(source, provenance_name, optimizations, batched),
         resolved=resolved,

@@ -382,8 +382,9 @@ class LobsterSession:
     ) -> list[ExecutionResult]:
         """Run ``queries`` as one fold on ``twin`` (caller holds the
         drain lock).  Raises :class:`~repro.errors.DeviceOutOfMemory`
-        with the device's counters and allocation sites as they were
-        before the fold, and no database evaluated."""
+        with the device's counters, allocation sites and trace as they
+        were before the fold — plus one ``fold.fallback`` instant — and
+        no database evaluated."""
         engine = self.engine
         members = [query.database for query in queries]
         for member in members:
@@ -394,17 +395,29 @@ class LobsterSession:
         stack_databases(members, folded, names)
         profile = interpreter.device.profile
         before, sites = profile.snapshot(), set(interpreter._seen_sites)
+        tracer = self.tracer if self.tracer is not None else twin.tracer
+        n_spans, now = len(tracer.spans), tracer.now
         try:
             fold = twin.run(
                 folded,
                 reset_profile=False,
                 _interpreter=interpreter,
-                tracer=self.tracer,
+                tracer=tracer,
                 span_parent=span_parent,
             )
         except DeviceOutOfMemory:
             profile.restore(before)
             interpreter._seen_sites = sites
+            if tracer.enabled:
+                # The members rerun from here, as if the fold never ran.
+                del tracer.spans[n_spans:]
+                tracer.set_time(now)
+                tracer.event(
+                    "fold.fallback",
+                    parent=span_parent,
+                    reason="device_oom",
+                    size=len(queries),
+                )
             raise
         derived = {p for stratum in engine.apm.strata for p in stratum.predicates}
         split_database(folded, members, names, derived)

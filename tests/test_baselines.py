@@ -153,7 +153,6 @@ class TestFVLog:
         engine = FVLogEngine(TC)
         assert not engine.device.reuse_buffers
         assert not engine.optimizations.static_indices
-        assert not engine.optimizations.apm_passes
         db = engine.create_database()
         db.add_facts("edge", [(i, i + 1) for i in range(10)])
         assert engine.run(db).profile.reused_allocations == 0

@@ -11,9 +11,11 @@ around it.
 * Generated 3–4-atom rules (dying variables, comparisons applied late,
   negated atoms, arithmetic and arity-0 heads, division in heads and
   comparisons, repeated variables, recursion, ``f64`` columns holding
-  NaN and ±0.0) must leave every IDB
+  NaN and ±0.0, one relation of the other dtype) must leave every IDB
   relation's ``full`` table — columns and tags — bitwise equal under both
-  lowerings, and agree with the tuple-at-a-time Scallop interpreter.
+  lowerings, and agree with the tuple-at-a-time Scallop interpreter.  A
+  generated rule that types a variable both ``i64`` and ``f64`` must be
+  refused by both engines with one ``ResolutionError`` naming it.
 * Every other semiring compiles the ten bundled programs to exactly the
   oracle's instructions.
 * Incremental, DRed-maintained and batched CSPA runs through the new
@@ -38,7 +40,7 @@ from repro.apm.interpreter import ApmInterpreter
 from repro.apm.optimizer import optimize
 from repro.baselines import ScallopInterpreter
 from repro.datalog.program import compile_source as resolve_source
-from repro.errors import CompileError
+from repro.errors import CompileError, ResolutionError
 from repro.gpu.device import VirtualDevice
 from repro.provenance import create
 from repro.ram import planner
@@ -146,7 +148,16 @@ PROBS = (0.0, 0.25, 0.5, 1.0)
 
 @st.composite
 def rule_programs(draw):
+    """``(source, facts, refused)``: ``refused`` holds the variables typed
+    both ``i64`` and ``f64`` — at columns of both dtypes, or compared with
+    a variable of the other — one of which the refusal must name (empty
+    for a well-typed program)."""
     kind = draw(st.sampled_from(("i64", "f64")))
+    kinds = [kind] * 4
+    if draw(st.booleans()):
+        # One relation of the other dtype: a variable meeting it and a
+        # relation of ``kind`` is typed twice.
+        kinds[draw(st.integers(0, 3))] = "f64" if kind == "i64" else "i64"
     arities = [draw(st.integers(1, 3)) for _ in range(4)]
     atoms = []
     for _ in range(draw(st.integers(3, 4))):
@@ -184,15 +195,25 @@ def rule_programs(draw):
     )
     facts = {}
     for relation, arity in enumerate(arities):
-        values = st.sampled_from(FLOATS) if kind == "f64" else st.integers(0, 3)
+        values = st.sampled_from(FLOATS) if kinds[relation] == "f64" else st.integers(0, 3)
         rows = draw(st.lists(st.tuples(*[values] * arity), max_size=7))
         probs = [draw(st.sampled_from(PROBS)) for _ in rows]
         facts[f"e{relation}"] = (rows, probs)
-    return render(kind, arities, atoms, head, arithmetic, comparisons, negated, recursive), facts
+    typed: dict[str, set[str]] = {}
+    for name, args in atoms + negated:
+        for arg in args:
+            typed.setdefault(arg, set()).add(kinds[int(name[1:])])
+    refused = {name for name, dtypes in typed.items() if len(dtypes) > 1}
+    for text in comparisons:
+        terms = text.split()
+        if len(terms) == 3 and typed[terms[0]] != typed[terms[2]]:
+            refused |= {terms[0], terms[2]}
+    source = render(kinds, arities, atoms, head, arithmetic, comparisons, negated, recursive)
+    return source, facts, frozenset(refused)
 
 
-def render(kind, arities, atoms, head, arithmetic, comparisons, negated, recursive) -> str:
-    lines = [f"type e{j}({', '.join([kind] * arity)})" for j, arity in enumerate(arities)]
+def render(kinds, arities, atoms, head, arithmetic, comparisons, negated, recursive) -> str:
+    lines = [f"type e{j}({', '.join([kinds[j]] * arity)})" for j, arity in enumerate(arities)]
     terms = list(head)
     if arithmetic is not None:
         terms[0] = arithmetic
@@ -263,6 +284,7 @@ NAN, NEG0 = math.nan, -0.0
     {"e0": ([(0.0, 1.0), (NEG0, 2.0), (1.0, 1.0), (2.0, NEG0)], [0.5, 1.0, 0.25, 0.5]),
      "e1": ([(0.0, 1.0), (NEG0, 2.0), (0.0, 2.0)], [1.0, 0.5, 0.25]),
      "e2": ([], []), "e3": ([], [])},
+    frozenset(),
 )).via("dying variable, signed zeros")
 # ``z < w`` reads z, which no atom after the second reads: z stays live
 # until w is bound by the third.
@@ -271,6 +293,7 @@ NAN, NEG0 = math.nan, -0.0
     {"e0": ([(0, 1), (1, 2), (2, 3), (3, 1), (0, 2)], [0.5, 1.0, 0.25, 0.5, 0.0]),
      "e1": ([(1, 1), (2, 0), (1, 3)], [1.0, 0.5, 0.25]),
      "e2": ([], []), "e3": ([], [])},
+    frozenset(),
 )).via("late comparison over a dying variable")
 # ~e2(z): z would be dead after the second join but for the negation.
 @example(case=(
@@ -278,6 +301,7 @@ NAN, NEG0 = math.nan, -0.0
     {"e0": ([(0, 1), (1, 2), (2, 3), (3, 1)], [0.5, 1.0, 0.25, 0.5]),
      "e1": ([(1, 1), (2, 0), (1, 3)], [1.0, 0.5, 0.25]),
      "e2": ([(0,), (3,)], [1.0, 0.5]), "e3": ([], [])},
+    frozenset(),
 )).via("negation keeps a variable live")
 # An arithmetic head over NaN and signed zeros; a repeated variable.
 @example(case=(
@@ -285,6 +309,7 @@ NAN, NEG0 = math.nan, -0.0
     {"e0": ([(NAN, NAN), (0.0, 0.0), (NEG0, NEG0), (NAN, 1.0), (1.0, NEG0)], [0.5, 1.0, 0.25, 0.5, 1.0]),
      "e1": ([(NAN, 1.0), (0.0, NAN), (NEG0, 1.0)], [1.0, 0.5, 0.25]),
      "e2": ([], []), "e3": ([(0.0,), (NAN,), (NEG0,)], [1.0, 0.25, 0.5])},
+    frozenset(),
 )).via("arithmetic head, NaN, repeated variable")
 # Arity-0 head: x, y and z all die after the first join, whose
 # intermediate collapses to one column-less row.
@@ -293,6 +318,7 @@ NAN, NEG0 = math.nan, -0.0
     {"e0": ([(0, 1), (1, 2), (2, 1)], [0.5, 1.0, 0.25]),
      "e1": ([(1, 0), (2, 0), (1, 1)], [1.0, 0.5, 0.25]),
      "e2": ([(0,), (1,)], [0.5, 0.25]), "e3": ([(0,), (2,)], [1.0, 0.5])},
+    frozenset(),
 )).via("arity-0 head")
 # Recursion: the distinct projection sits in the RECENT variants.
 @example(case=(
@@ -300,6 +326,7 @@ NAN, NEG0 = math.nan, -0.0
     {"e0": ([(0, 1), (1, 2), (2, 3), (3, 0)], [0.5, 1.0, 0.25, 0.75]),
      "e1": ([(0, 1), (1, 2), (0, 2), (2, 3)], [1.0, 0.5, 0.25, 0.5]),
      "e2": ([], []), "e3": ([], [])},
+    frozenset(),
 )).via("recursive rule")
 # A recursive body whose deduplicated intermediate holds rows equal only
 # up to -0.0/NaN: the head keeps its representative only because Dedup
@@ -310,6 +337,7 @@ NAN, NEG0 = math.nan, -0.0
     {"e0": ([(NEG0, NEG0), (NAN, 0.0), (2.0, NEG0)], [1.0, 0.25, 0.25]),
      "e1": ([(0.0, NAN), (NAN, 1.0), (2.0, 0.0), (1.0, 0.0), (NEG0, 2.0)], [1.0, 0.25, 1.0, 0.5, 0.25]),
      "e2": ([], []), "e3": ([], [])},
+    frozenset(),
 )).via("first-occurrence order")
 # Division tells the zeros apart: 1 / -0.0 is -inf, 1 / 0.0 is inf.  w
 # is kept alone after the first join; a Dedup under row equality, where
@@ -319,6 +347,7 @@ NAN, NEG0 = math.nan, -0.0
     "rel r(y / w) :- e0(z, w), e1(z), e2(y).\n",
     {"e0": ([(1.0, NEG0), (2.0, 0.0)], [0.5, 1.0]), "e1": ([(1.0,), (2.0,)], [1.0, 1.0]),
      "e2": ([(1.0,)], [1.0]), "e3": ([], [])},
+    frozenset(),
 )).via("division head over signed zeros")
 # The same through a comparison applied after the last join: only the
 # -0.0 path passes, so r(1.0) must carry that path's tag alone.
@@ -327,9 +356,43 @@ NAN, NEG0 = math.nan, -0.0
     "rel r(y) :- e0(z, w), e1(z), e2(y), y / w < y.\n",
     {"e0": ([(1.0, NEG0), (2.0, 0.0)], [0.5, 1.0]), "e1": ([(1.0,), (2.0,)], [1.0, 1.0]),
      "e2": ([(1.0,)], [1.0]), "e3": ([], [])},
+    frozenset(),
 )).via("late dividing comparison over signed zeros")
+# One relation of the other dtype that no variable meets twice: typed.
+@example(case=(
+    I2.replace("e1(i64, i64)", "e1(f64, f64)") + "rel r(x, z) :- e0(x, y), e1(z, w), e2(y).\n",
+    {"e0": ([(0, 1), (1, 2)], [0.5, 1.0]), "e1": ([(NEG0, 1.0), (NAN, 2.0)], [1.0, 0.5]),
+     "e2": ([(1,), (2,)], [0.25, 1.0]), "e3": ([], [])},
+    frozenset(),
+)).via("mixed relations, well typed")
+# y meets an i64 and an f64 column; x only through a negation; z and x
+# only through a comparison.
+@example(case=(
+    I2.replace("e1(i64, i64)", "e1(f64, f64)") + "rel r(x) :- e0(x, y), e1(y, z), e2(z).\n",
+    {"e0": ([], []), "e1": ([], []), "e2": ([], []), "e3": ([], [])},
+    frozenset({"y", "z"}),
+)).via("join variable typed twice")
+@example(case=(
+    I2.replace("e1(i64, i64)", "e1(f64, f64)") + "rel r(x) :- e0(x, y), e2(y), e3(x), ~e1(x, x).\n",
+    {"e0": ([], []), "e1": ([], []), "e2": ([], []), "e3": ([], [])},
+    frozenset({"x"}),
+)).via("negated variable typed twice")
+@example(case=(
+    I2.replace("e1(i64, i64)", "e1(f64, f64)") + "rel r(x) :- e0(x, y), e1(z, w), e2(y), z < x.\n",
+    {"e0": ([], []), "e1": ([], []), "e2": ([], []), "e3": ([], [])},
+    frozenset({"z", "x"}),
+)).via("comparison across dtypes")
 def test_generated_rules_match_the_oracle_lowering(case):
-    source, facts = case
+    source, facts, refused = case
+    if refused:
+        messages = set()
+        for engine_cls in (LobsterEngine, ScallopInterpreter):
+            with pytest.raises(ResolutionError) as caught:
+                engine_cls(source, provenance="unit")
+            messages.add(str(caught.value))
+        (message,) = messages
+        assert any(f"variable {name!r}" in message for name in refused), message
+        return
     values = [value for rows, _ in facts.values() for row in rows for value in row]
     # Scallop keys rows by Python ``==``, so it is no reference once a
     # NaN is stored, and it reads x / 0 as inf whatever the signs.

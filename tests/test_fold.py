@@ -16,7 +16,9 @@ engine:
   a repeated database and a program whose rewrite is refused run back to
   back (one engine run per member);
 * a fold that does not fit the device re-runs its members back to back,
-  with the outcomes and results of a scheduler that never folds;
+  with the outcomes and results of a scheduler that never folds, and a
+  trace holding the reruns where the outcomes put them and one
+  ``fold.fallback`` instant, not the abandoned fold;
 * on the serve clock a folded batch finishes together and charges each
   member an equal share of the one run.
 """
@@ -38,6 +40,7 @@ from repro import (
     SLOClass,
     VirtualDevice,
 )
+from repro.obs import Tracer, validate_trace_events
 from repro.provenance import registry
 from repro.workloads.analytics import CSPA
 
@@ -412,6 +415,34 @@ class TestCapacityFallback:
             assert all(result.fold_size == 1 for result in results)
             lanes.append(session._interpreters[0]._seen_sites)
         assert lanes[0] == lanes[1]
+
+    def test_an_abandoned_fold_leaves_no_span_behind(self):
+        """The trace is rolled back with the device: each rerun's run span
+        lies exactly where the scheduler's outcome puts it, the errored
+        fold's spans are gone, and one instant says why the batch ran
+        back to back."""
+        engine = LobsterEngine(TC_PROGRAM, provenance="minmaxprob", cache=ProgramCache())
+        each, _ = self._peaks(engine, 4)
+        tracer = Tracer()
+        pool = DevicePool(devices=[VirtualDevice(capacity_bytes=each)])
+        report = Scheduler(pool, classes=_classes(), tracer=tracer).run(_requests(engine, 4))
+        assert report.completed == 4
+        assert all(o.result.fold_size == 1 for o in report.outcomes)
+        assert not [span for span in tracer.spans if "error" in span.attrs]
+        runs = [span for span in tracer.spans if span.name == "engine.run"]
+        finishes = [o.finish_s for o in report.outcomes]
+        # Back to back: each run starts where its predecessor finished.
+        assert [run.start_s for run in runs] == [report.outcomes[0].start_s] + finishes[:-1]
+        assert [run.end_s for run in runs] == finishes
+        for run, outcome in zip(runs, report.outcomes):
+            assert run.duration_s == pytest.approx(outcome.service_s, rel=1e-12)
+        (batch,) = [span for span in tracer.spans if span.name == "serve.batch"]
+        assert all(run.parent_id == batch.span_id for run in runs)
+        (fallback,) = [span for span in tracer.spans if span.name == "fold.fallback"]
+        assert fallback.kind == "instant" and fallback.parent_id == batch.span_id
+        assert fallback.start_s == fallback.end_s == batch.start_s
+        assert fallback.attrs == {"reason": "device_oom", "size": 4}
+        validate_trace_events(tracer.to_trace_events())
 
 
 class TestQueryBySample:

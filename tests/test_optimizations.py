@@ -10,8 +10,11 @@ import pytest
 
 from repro import DeviceOutOfMemory, LobsterEngine, OptimizationConfig, VirtualDevice
 from repro.apm import instructions as I
+from repro.apm.compiler import compile_ram
 from repro.apm.optimizer import optimize
 from repro.apm.schedule import plan_transfers
+from repro.datalog import compile_source
+from repro.ram import compile_program
 from tests.conftest import TC_PROGRAM, random_digraph
 
 MULTI_STRATUM = """
@@ -44,7 +47,6 @@ class TestAblationSemantics:
             (OptimizationConfig(), False),
             (OptimizationConfig(static_indices=False), True),
             (OptimizationConfig.none(), True),
-            (OptimizationConfig(apm_passes=False), True),
         ],
     )
     def test_results_identical_under_all_configs(self, config, rng):
@@ -126,12 +128,8 @@ class TestStratumScheduling:
 class TestApmPasses:
     def test_dce_removes_instructions(self):
         engine = LobsterEngine(MULTI_STRATUM, provenance="unit")
-        unoptimized = LobsterEngine(
-            MULTI_STRATUM,
-            provenance="unit",
-            optimizations=OptimizationConfig(apm_passes=False),
-        )
-        assert engine.apm.instruction_count() <= unoptimized.apm.instruction_count()
+        unoptimized = compile_ram(compile_program(compile_source(MULTI_STRATUM)))
+        assert engine.apm.instruction_count() <= unoptimized.instruction_count()
 
     def test_optimize_idempotent(self):
         engine = LobsterEngine(TC_PROGRAM, provenance="unit")
