@@ -1,6 +1,7 @@
 """Property tests for the open-addressing hash index against brute force,
 float join keys matching by row equality (``-0.0`` is ``0.0``, NaN is
-NaN), and int and float keys of one variable refused by the front end."""
+NaN), int and float keys of one variable refused by the front end, and
+integer facts in an ``f64`` key joining as their ``float`` value."""
 
 from __future__ import annotations
 
@@ -149,6 +150,28 @@ MIXED_JOIN = (
     "rel r(x) :- b(x), a(x).\n"
     "rel t(x) :- a(x), b(x).\n"
 )
+
+
+# The same joins with the key typed once: ``a`` holds ``f64`` and takes
+# integer facts, which ``add_facts`` stores as their ``float`` value.
+TYPED_JOIN = MIXED_JOIN.replace("type a(i64)", "type a(f64)")
+
+
+@pytest.mark.parametrize(
+    "a, b", [(1, 1.5), (2, 2.0), (0, -0.0), (2**53 + 1, 2.0**53), (-(2**63), -(2.0**63))]
+)
+def test_int_and_float_keys_join_by_exact_equality_as_in_scallop(a, b):
+    """An integer fact in an ``f64`` key column joins as ``float(a)``, by
+    exact equality: ``1.5`` is not ``1``, ``2.0`` is ``2``, and
+    ``2**53 + 1`` is stored as ``2.0**53`` and so finds it.  Scallop is
+    handed the stored value, since its fact store keeps the Python int."""
+    lobster = run_float_join(LobsterEngine, a, b, TYPED_JOIN)
+    scallop = run_float_join(ScallopInterpreter, float(a), b, TYPED_JOIN)
+    assert lobster.result("a").rows() == [(float(a),)]
+    for name in ("s", "r", "t"):
+        assert set(lobster.result(name).rows()) == set(scallop.rows(name)), name
+    assert len(lobster.result("s").rows()) == (float(a) != b)
+    assert len(lobster.result("r").rows()) == (float(a) == b)
 
 
 def test_int_and_float_keys_of_one_variable_are_a_resolution_error():
